@@ -1,31 +1,40 @@
 """Tensor arena: reuse scratch buffers across fused serving passes.
 
-Every stacked serving tick re-allocates the same working set — the
-im2col column buffers, the padded-input canvases and the pre-transpose
-matmul scratch of :func:`repro.nn.batched.batched_conv2d`, plus the
-staging buffer the service copies coalesced uplink payloads into.  For
-the small-tensor regime this reproduction serves (Table-III split
-points), the allocator traffic is a measurable slice of tick latency.
-A :class:`TensorArena` keeps those buffers alive between ticks and hands
+Every stacked serving tick needs the same working set — the pad
+canvas, im2col columns and pre-crop GEMM result of each no-grad
+convolution (:func:`repro.nn.batched.batched_conv2d`), plus the staging
+buffer the service copies coalesced uplink payloads into.  A
+:class:`TensorArena` keeps those buffers alive between ticks and hands
 them back by *slot*: a ``(tag, sequence)`` key in per-pass order for
 scratch the kernels request, or a bare named key for singleton staging
 buffers the service owns.
 
+The convolution scratch is **block-sized**: the no-grad kernel lowers
+and multiplies a few images at a time, so each slot holds one block
+(whose columns fit in :data:`repro.nn.batched.BLOCK_BYTES`), not the
+whole batch, and its shape depends on the layer alone.  The kernel is
+the same with or without an arena — the arena only decides where its
+scratch comes from — so outputs are bit-equal either way.
+
 Safety model
 ------------
-Arena buffers are only handed to kernels while gradients are disabled
-(the kernels check :func:`repro.nn.tensor.is_grad_enabled` and the
-operands' ``requires_grad`` before asking), because backward closures
-capture the im2col columns — a reused buffer would corrupt a pending
-backward.  Kernels also never place an array that *escapes* the pass
-(layer outputs, response payloads) in the arena: only scratch that is
+Arena buffers are only handed to kernels while no backward will be
+wired (the kernels check :func:`repro.nn.tensor.is_grad_enabled` and the
+operands' ``requires_grad``), because backward closures capture the
+im2col columns — a reused buffer would corrupt a pending backward.
+Kernels also never place an array that *escapes* the pass (layer
+outputs, response payloads) in the arena: only scratch that is
 provably consumed inside the op may live there, so a poisoned arena
 (:meth:`TensorArena.poison`, used by the differential tests) can never
 leak NaNs into served features.
 
-Shape-keyed invalidation: a slot whose requested shape or dtype differs
-from the cached buffer is re-allocated on the spot, so a coalesce-key
-change between ticks (different spatial size, different batch) silently
+Reuse rule: a slot is reused when its dtype and trailing dimensions
+match the request and its leading dimension is at least the requested
+one; the caller gets the leading rows.  So a tick whose batch is
+smaller than an earlier one's (fewer coalesced requests) reuses the
+staging buffer, and block-shaped conv slots never change with the
+batch.  Any other mismatch re-allocates the slot on the spot, so a
+coalesce-key change between ticks (different spatial size, dtype)
 falls back to fresh memory rather than serving a stale view.
 
 Usage::
@@ -68,7 +77,9 @@ class TensorArena:
       owner per arena (the service's uplink staging buffer); no
       sequence counter, just the name.
 
-    Both invalidate on shape or dtype mismatch: the old buffer is
+    Both follow the module's reuse rule: a buffer with the requested
+    dtype and trailing shape and at least as many leading rows is handed
+    back as its leading ``shape[0]`` rows; otherwise the old buffer is
     dropped and a fresh one allocated (counted in ``misses``).
     """
 
@@ -102,15 +113,16 @@ class TensorArena:
 
     def _fetch(self, key: tuple, shape: tuple[int, ...],
                dtype: np.dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
+        shape, dtype = tuple(shape), np.dtype(dtype)
         buf = self._buffers.get(key)
-        if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
+        if (buf is None or buf.dtype != dtype or buf.shape[1:] != shape[1:]
+                or buf.shape[0] < shape[0]):
             buf = np.empty(shape, dtype=dtype)
             self._buffers[key] = buf
             self.misses += 1
         else:
             self.hits += 1
-        return buf
+        return buf if buf.shape[0] == shape[0] else buf[:shape[0]]
 
     # -- observability / testing ---------------------------------------
 

@@ -125,50 +125,134 @@ def batched_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Ten
     return out
 
 
-def _pad_spatial(x: np.ndarray, padding: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
     """Zero-pad the trailing two (spatial) axes.
 
     Equivalent to ``np.pad`` but a plain alloc-and-assign: ``np.pad``'s
     generic machinery costs more Python time than a whole small conv layer
-    on the fused hot path.  ``out``, when given, is an arena-recycled
-    canvas of the padded shape whose contents are undefined: the border is
-    re-zeroed and the interior assigned, so every element is written no
-    matter what the previous pass (or a poisoning test) left behind.
+    on the fused hot path.
     """
     if padding == 0:
         return x
     shape = x.shape[:-2] + (x.shape[-2] + 2 * padding, x.shape[-1] + 2 * padding)
-    if out is None:
-        out = np.zeros(shape, dtype=x.dtype)
-        out[..., padding:-padding, padding:-padding] = x
-        return out
-    out[..., :padding, :] = 0
-    out[..., -padding:, :] = 0
-    out[..., padding:-padding, :padding] = 0
-    out[..., padding:-padding, -padding:] = 0
+    out = np.zeros(shape, dtype=x.dtype)
     out[..., padding:-padding, padding:-padding] = x
     return out
 
 
-def _conv_scratch(x: Tensor, weight: Tensor, bias: Tensor | None):
-    """The active arena, if gradients cannot be flowing through this op.
+#: Bytes of lowered columns one block of the no-grad convolution kernel
+#: may hold.  Half a MiB leaves room in a 2 MiB per-core L2 for the
+#: block's pad canvas and GEMM result next to its columns, so the GEMM
+#: reads columns the lowering has just written to cache.
+BLOCK_BYTES = 1 << 19
 
-    Backward closures capture the im2col column buffer, so scratch may
-    only be recycled when no closure will be wired — exactly the
-    condition :meth:`Tensor._make` uses to drop the backward function.
+
+def _conv2d_nograd(x: np.ndarray, weight: np.ndarray,
+                   bias: np.ndarray | None, stride: int, padding: int,
+                   out_h: int, out_w: int, arena) -> np.ndarray:
+    """Forward-only stacked convolution, lowered and multiplied per block.
+
+    ``x`` is a shared ``(N, C, H, W)`` or per-member ``(E, N, C, H, W)``
+    array.  Images are processed in blocks whose im2col columns fit in
+    :data:`BLOCK_BYTES`; per block the kernel pads, lowers and runs one
+    GEMM per image — ``(E·out_c, K)`` for a shared input, the member's own
+    ``(out_c, K)`` otherwise — and writes the result, plus ``bias``, into
+    the fresh output while the block is still in cache.  A block holds
+    images of one member, or whole members when they fit.
+
+    Stride-1 kernels lower whole padded rows: the column row of kernel tap
+    ``(i, j)`` is the run of ``(oh−1)·wp + ow`` floats starting at padded
+    offset ``i·wp + j``, so the GEMM yields ``wp``-wide output rows whose
+    last ``wp − ow`` entries (which straddle a row break) are cropped.  A
+    1x1 stride-1 pad-0 kernel lowers nothing: its block is the input.
+
+    Scratch (pad canvas, columns, pre-crop GEMM result) is block-shaped,
+    so its shape depends on the layer alone, not on the batch; it comes
+    from ``arena`` when one is active and is freshly allocated otherwise.
+    Either way the arithmetic is the same, so outputs are bit-equal.
     """
-    if is_grad_enabled() and (x.requires_grad or weight.requires_grad
-                              or (bias is not None and bias.requires_grad)):
-        return None
-    return active_arena()
+    e, out_c, in_c, kh, kw = weight.shape
+    shared = x.ndim == 4
+    x = np.ascontiguousarray(x)
+    n, c, h, w = x.shape[-4:]
+    members = 1 if shared else e
+    images = x.reshape(members * n, c, h, w)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    k = in_c * kh * kw
+    pointwise = kh == kw == 1 and stride == 1 and padding == 0
+    run_w = wp if stride == 1 and not pointwise else out_w
+    length = out_h * run_w
+    crop = run_w != out_w
+    dtype = np.result_type(weight.dtype, x.dtype)
+    rows = e * out_c if shared else out_c
+    wmat = weight.reshape(members, 1, rows, k)
+    if bias is not None:
+        bias = bias.reshape(members, 1, rows, 1)
+    out = np.empty((e, n, out_c, out_h, out_w), dtype=dtype)
+    block = max(1, BLOCK_BYTES // (k * length * x.itemsize))
 
+    def scratch(tag, shape, dt):
+        if arena is None:
+            return np.empty(shape, dtype=dt)
+        return arena.take(tag, shape, dt)
 
-def _arena_pad(x: np.ndarray, padding: int, arena) -> np.ndarray:
-    if arena is None or padding == 0:
-        return _pad_spatial(x, padding)
-    shape = x.shape[:-2] + (x.shape[-2] + 2 * padding, x.shape[-1] + 2 * padding)
-    return _pad_spatial(x, padding, out=arena.take("pad", shape, x.dtype))
+    if padding:
+        # Borders are zeroed once; blocks only overwrite the interior.
+        canvas = scratch("pad", (block, c, hp, wp), x.dtype)
+        canvas.fill(0)
+    cols = None if pointwise else scratch("cols", (block, k, length), x.dtype)
+    mm = scratch("mm", (block, rows, length), dtype) if shared or crop else None
+
+    # (first member, members, first image, images) of every block
+    if shared or block < n:
+        spans = [(m, 1, n0, min(block, n - n0))
+                 for m in range(members) for n0 in range(0, n, block)]
+    else:
+        per = block // n
+        spans = [(m, min(per, members - m), 0, n)
+                 for m in range(0, members, per)]
+    for m, me, n0, nb in spans:
+        f0, count = m * n + n0, me * nb
+        src = images[f0:f0 + count]
+        if padding:
+            canvas[:count, :, padding:-padding, padding:-padding] = src
+            src = canvas[:count]
+        if pointwise:
+            lowered = src
+        else:
+            lowered = cols[:count]
+            s0, s1, s2, s3 = src.strides
+            taps = lowered.reshape(count, c, kh, kw, length)
+            # Tap views over the contiguous block, built with the ndarray
+            # constructor: ``as_strided`` costs ~15 µs of Python per call.
+            if stride == 1:
+                run = (out_h - 1) * wp + out_w
+                np.copyto(taps[..., :run], np.ndarray(
+                    (count, c, kh, kw, run), src.dtype, src, 0,
+                    (s0, s1, s2, s3, s3)))
+                taps[..., run:] = 0  # feeds cropped outputs only
+            else:
+                np.copyto(taps.reshape(count, c, kh, kw, out_h, out_w),
+                          np.ndarray((count, c, kh, kw, out_h, out_w),
+                                     src.dtype, src, 0,
+                                     (s0, s1, s2, s3, s2 * stride,
+                                      s3 * stride)))
+        lowered = lowered.reshape(me, nb, k, length)
+        dst = out[:, n0:n0 + nb] if shared else out[m:m + me, n0:n0 + nb]
+        direct = not (shared or crop)
+        res = np.matmul(wmat[m:m + me], lowered,
+                        out=(dst if direct else mm[:count]).reshape(
+                            me, nb, rows, length))
+        if bias is not None:
+            res += bias[m:m + me]
+        if direct:
+            continue
+        if shared:
+            res = res.reshape(nb, e, out_c, out_h, run_w).transpose(1, 0, 2, 3, 4)
+        else:
+            res = res.reshape(me, nb, out_c, out_h, run_w)
+        np.copyto(dst, res[..., :out_w])
+    return out
 
 
 def batched_conv2d(
@@ -182,9 +266,14 @@ def batched_conv2d(
 
     ``weight`` is ``(E, out_c, in_c, kh, kw)``.  For a shared 4-D input the
     image is lowered once and all E kernels apply as a single
-    ``(E·out_c, C·kh·kw)`` matmul; for a per-member 5-D input the lowering
-    runs over the folded ``E·N`` batch and a single batched matmul contracts
-    each member with its own kernel.  Output is ``(E, N, out_c, oh, ow)``.
+    ``(E·out_c, C·kh·kw)`` matmul; for a per-member 5-D input each member
+    contracts with its own kernel.  Output is ``(E, N, out_c, oh, ow)``.
+
+    When no backward will be wired (gradients disabled, or no operand
+    requires them) the op runs the cache-blocked kernel of
+    :func:`_conv2d_nograd`, with its scratch from the active
+    :class:`~repro.nn.arena.TensorArena` if there is one.  Otherwise the
+    full im2col columns are built once and captured for backward.
     """
     e, out_c, in_c, kh, kw = weight.shape
     shared = x.ndim == 4
@@ -206,47 +295,33 @@ def batched_conv2d(
     length = out_h * out_w
     hp, wp = h + 2 * padding, w + 2 * padding
 
-    # Arena-recycled scratch (pad canvas, im2col columns, pre-transpose
-    # matmul buffer) on the no-grad serving fast path.  Only buffers that
-    # are provably consumed inside this op go to the arena — the returned
-    # activation is always freshly allocated, so layer outputs (and the
-    # response payloads sliced from them) never alias pooled memory.
-    arena = _conv_scratch(x, weight, bias)
-    if shared:
-        x_pad = _arena_pad(x.data, padding, arena)
-        cols_out = (arena.take("cols", (n, k, length), x_pad.dtype)
-                    if arena is not None else None)
-        cols = _im2col(x_pad, kh, kw, stride, out=cols_out)  # (N, K, L)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    wired = is_grad_enabled() and any(p.requires_grad for p in parents)
+    if not wired:
+        out = _conv2d_nograd(x.data, weight.data,
+                             None if bias is None else bias.data,
+                             stride, padding, out_h, out_w, active_arena())
+    elif shared:
+        cols = _im2col(_pad_spatial(x.data, padding), kh, kw, stride)  # (N, K, L)
         w2 = weight.data.reshape(e * out_c, k)
-        mm_dtype = np.result_type(w2.dtype, cols.dtype)
-        mm_out = (arena.take("mm", (n, e * out_c, length), mm_dtype)
-                  if arena is not None else None)
-        out = np.matmul(w2[None, :, :], cols, out=mm_out)  # (N, E*out_c, L)
+        out = np.matmul(w2[None, :, :], cols)  # (N, E*out_c, L)
         out = np.ascontiguousarray(
             out.reshape(n, e, out_c, out_h, out_w).transpose(1, 0, 2, 3, 4)
         )
     else:
-        x_pad = _arena_pad(x.data, padding, arena)
-        cols_out = (arena.take("cols", (e * n, k, length), x_pad.dtype)
-                    if arena is not None else None)
-        cols = _im2col(x_pad.reshape(e * n, c, hp, wp), kh, kw, stride,
-                       out=cols_out)
+        x_pad = _pad_spatial(x.data, padding)
+        cols = _im2col(x_pad.reshape(e * n, c, hp, wp), kh, kw, stride)
         cols = cols.reshape(e, n, k, length)
         w2 = weight.data.reshape(e, out_c, k)
-        # The matmul result *is* the layer output here (the reshape below
-        # is a view), so it must not come from the arena.
         out = np.matmul(w2[:, None, :, :], cols).reshape(e, n, out_c, out_h, out_w)
     profiling.record("conv2d", 2 * e * n * out_c * out_h * out_w * in_c * kh * kw)
     if bias is not None:
-        # ``out`` is freshly materialised just above (contiguous copy on
-        # the shared path, matmul product on the 5-D path), so the bias
-        # lands in place — no extra full-tensor temporary.  This keeps a
-        # folded conv←BN pair cheaper than the BN it replaced even for
-        # originally bias-free convolutions.
-        out += bias.data.reshape(e, 1, out_c, 1, 1)
+        if wired:
+            # ``out`` is freshly materialised just above (contiguous copy
+            # on the shared path, matmul product on the 5-D path), so the
+            # bias lands in place — no extra full-tensor temporary.
+            out += bias.data.reshape(e, 1, out_c, 1, 1)
         profiling.record("bias", e * n * out_c * out_h * out_w)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray) -> None:
         if bias is not None and bias.requires_grad:

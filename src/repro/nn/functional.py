@@ -11,22 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import profiling
-from repro.nn.tensor import Tensor, concat  # noqa: F401  (concat re-exported)
+from repro.nn.tensor import Tensor, concat, is_grad_enabled  # noqa: F401  (concat re-exported)
 
 # ----------------------------------------------------------------------
 # im2col / col2im
 # ----------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Lower padded NCHW input to column form ``(N, C*kh*kw, out_h*out_w)``.
-
-    ``out``, when given, receives the columns — an arena-recycled
-    ``(N, C*kh*kw, L)`` buffer on the serving fast path — instead of the
-    fresh array the strided-view reshape would otherwise materialise.
-    Every element of ``out`` is overwritten.
-    """
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Lower padded NCHW input to column form ``(N, C*kh*kw, out_h*out_w)``."""
     n, c, h, w = x.shape
     out_h = (h - kh) // stride + 1
     out_w = (w - kw) // stride + 1
@@ -37,12 +30,6 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
         strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
         writeable=False,
     )
-    if out is not None:
-        # The (contiguous) column buffer viewed 6-D is assignment-
-        # compatible with the strided windows: one fused copy, no
-        # intermediate allocation.
-        np.copyto(out.reshape(n, c, kh, kw, out_h, out_w), windows)
-        return out
     return windows.reshape(n, c * kh * kw, out_h * out_w)
 
 
@@ -201,7 +188,14 @@ def conv_transpose2d(
 
 
 def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None, padding: int = 0) -> Tensor:
-    """Max pooling over NCHW input; supports overlapping windows."""
+    """Max pooling over NCHW input; supports overlapping windows.
+
+    When no backward will be wired the ``kh·kw`` strided tap views are
+    reduced with ``np.maximum``: no window array, no argmax.  Taps run
+    last to first because ``np.maximum`` returns its second operand on a
+    tie, so equal-valued ``±0`` resolve to the first tap as argmax does —
+    the output is bit-identical to the grad path's.
+    """
     stride = kernel_size if stride is None else stride
     n, c, h, w = x.shape
     kh = kw = kernel_size
@@ -215,6 +209,15 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None, padding: 
         )
     else:
         x_pad = x.data
+    profiling.record("max_pool", n * c * out_h * out_w * kh * kw)
+    if not (is_grad_enabled() and x.requires_grad):
+        out = None
+        for i in reversed(range(kh)):
+            for j in reversed(range(kw)):
+                tap = x_pad[:, :, i:i + stride * (out_h - 1) + 1:stride,
+                            j:j + stride * (out_w - 1) + 1:stride]
+                out = tap.copy() if out is None else np.maximum(out, tap, out=out)
+        return Tensor(out, dtype=out.dtype)
     s0, s1, s2, s3 = x_pad.strides
     windows = np.lib.stride_tricks.as_strided(
         x_pad,
@@ -222,7 +225,6 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None, padding: 
         strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
         writeable=False,
     )
-    profiling.record("max_pool", n * c * out_h * out_w * kh * kw)
     flat = windows.reshape(n, c, out_h, out_w, kh * kw)
     arg = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]

@@ -187,6 +187,24 @@ class TestArenaServiceIntegration:
         assert service.arena.num_buffers == pooled  # same working set
         assert service.arena.misses == 0 and service.arena.hits > 0
 
+    def test_batch_size_changes_reuse_the_pool(self):
+        """Ticks of 8 and 3 coalesced requests alternate without misses."""
+        service, session = self._fast_service(make_resnet_bodies, max_batch=8)
+        rng = np.random.default_rng(20)
+        f = rng.standard_normal((1, 3, 6, 6)).astype(np.float32)
+        reference = serve_reference(make_resnet_bodies, [f])[0]
+        misses = []
+        for requests in [8, 3] * 4:
+            ids = [session.submit_features(f) for _ in range(requests)]
+            service.tick()
+            misses.append(service.arena.misses)
+            for rid in ids:
+                for a, b in zip(session.result(rid), reference):
+                    np.testing.assert_array_equal(a, b)
+            service.arena.poison()
+        assert misses[0] > 0
+        assert misses[-1] == misses[1]  # flat after the first 8/3 pair
+
     def test_shape_change_invalidates_across_ticks(self):
         """Alternating coalesce keys must re-allocate, never serve stale."""
         service, session = self._fast_service(make_resnet_bodies)
