@@ -58,6 +58,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 
+#: Where the gates append what they measured (gitignored), so running
+#: the gates never rewrites the tracked ``BENCH_*.json`` history files.
+RECORD_DIR = REPO_ROOT / "build" / "bench-records"
+
+
+def write_gate_record(bench, record: dict) -> Path:
+    """Append a gate's record to its ``BENCH_*.json`` under RECORD_DIR."""
+    RECORD_DIR.mkdir(parents=True, exist_ok=True)
+    return bench.write_record(record, RECORD_DIR / bench.RECORD_PATH.name)
+
+
 def load_bench(name: str):
     """Import a benchmarks/ module by file (benchmarks/ is not a package)."""
     spec = importlib.util.spec_from_file_location(
@@ -106,13 +117,14 @@ def check_kernel_fusion() -> list[str]:
     >= 1.15x unfolded tick throughput at N=8, zero-copy frame decode
     must not be slower than the copying parse, and the two serve arms
     must agree to 1e-5.  Each gated measurement is appended to
-    ``BENCH_ensemble.json`` so the CI artifact records what the gate saw.
+    ``build/bench-records/BENCH_ensemble.json`` so the CI artifact
+    records what the gate saw.
     """
     bench = load_bench("bench_ensemble")
 
     def measure() -> list[str]:
         record = bench.run_kernel_fusion_benchmark()
-        bench.write_record(record)
+        write_gate_record(bench, record)
         bench.print_kernel_fusion(record)
         failures = []
         if record["max_abs_diff"] > 1e-5:
@@ -152,14 +164,15 @@ def check_attack() -> list[str]:
 def check_serving() -> list[str]:
     """Coalesced multi-tenant serving must beat per-request passes.
 
-    Each gated measurement is appended to ``BENCH_serving.json``, so the
-    CI artifact records exactly what the gate saw (no second benchmark run).
+    Each gated measurement is appended to
+    ``build/bench-records/BENCH_serving.json``, so the CI artifact
+    records exactly what the gate saw (no second benchmark run).
     """
     bench = load_bench("bench_serving")
 
     def measure() -> list[str]:
         record = bench.run_benchmark(session_counts=(4, 8), repeats=3)
-        bench.write_record(record)
+        write_gate_record(bench, record)
         bench.print_record(record)
         failures = []
         for row in record["results"]:
@@ -182,13 +195,14 @@ def check_schedulers() -> list[str]:
     and deadline batching must beat FIFO tails.
 
     As with the serving gate, every measurement is appended to
-    ``BENCH_serving.json`` so the CI artifact records what the gate saw.
+    ``build/bench-records/BENCH_serving.json`` so the CI artifact
+    records what the gate saw.
     """
     bench = load_bench("bench_serving")
 
     def measure() -> list[str]:
         record = bench.run_scheduler_benchmark(repeats=3)
-        bench.write_record(record)
+        write_gate_record(bench, record)
         bench.print_scheduler_record(record)
         failures = []
         ratio = record["throughput"]["fair_vs_fifo"]
@@ -242,7 +256,7 @@ def check_chaos() -> list[str]:
     """
     bench = load_bench("bench_serving")
     record = bench.run_chaos_benchmark()
-    bench.write_record(record)
+    write_gate_record(bench, record)
     bench.print_chaos_record(record)
     failures = []
     for name in ("baseline", "chaos"):
@@ -269,7 +283,7 @@ def check_fleet() -> list[str]:
     """
     bench = load_bench("bench_serving")
     record = bench.run_fleet_chaos_benchmark()
-    bench.write_record(record)
+    write_gate_record(bench, record)
     bench.print_fleet_chaos_record(record)
     failures = []
     for name in ("baseline", "chaos"):
@@ -308,7 +322,7 @@ def check_fleet_scale() -> list[str]:
     """
     bench = load_bench("bench_serving")
     record = bench.run_fleet_scale_benchmark()
-    bench.write_record(record)
+    write_gate_record(bench, record)
     bench.print_fleet_scale_record(record)
     failures = []
     for name in ("static", "autoscaled"):
@@ -357,7 +371,7 @@ def check_privacy() -> list[str]:
     """
     bench = load_bench("bench_serving")
     record = bench.run_privacy_benchmark()
-    bench.write_record(record)
+    write_gate_record(bench, record)
     bench.print_privacy_record(record)
     failures = []
     leak = record["subset_leak"]

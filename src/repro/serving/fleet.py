@@ -357,6 +357,11 @@ class ReplicaHandle:
                 and not self.partitioned(at))
 
 
+def _spent_epsilon(session: Session) -> float:
+    """A session's spent privacy ε (0.0 for a session with no budget)."""
+    return session.privacy.spent if session.privacy is not None else 0.0
+
+
 class ServiceFleet:
     """N replicas behind one session-facing service surface.
 
@@ -695,18 +700,8 @@ class ServiceFleet:
             if owner != replica_id:
                 continue
             session = self._sessions[session_id]
-            spent_before = (session.privacy.spent
-                            if session.privacy is not None else 0.0)
-            target = self._handles[replica_id].service
-            if session_id not in target._sessions:
-                target.register_session(session)
-            self._homes[session_id] = replica_id
+            self._rehome(session, replica_id, _spent_epsilon(session))
             self.checkpoints.snapshot(session)
-            spent_after = (session.privacy.spent
-                           if session.privacy is not None else 0.0)
-            self.migration_epsilon_log.append(
-                (session_id, spent_before, spent_after))
-            self.fleet_stats.migrated_sessions += 1
             moved += 1
         return moved
 
@@ -744,8 +739,7 @@ class ServiceFleet:
             if home != replica_id:
                 continue
             session = self._sessions[session_id]
-            spent_before = (session.privacy.spent
-                            if session.privacy is not None else 0.0)
+            spent_before = _spent_epsilon(session)
             if restore and session_id in self.checkpoints:
                 self.checkpoints.load(session_id).apply(session)
                 self.fleet_stats.restored_sessions += 1
@@ -755,17 +749,20 @@ class ServiceFleet:
                 # submits raise BackpressureError until a replica joins.
                 self._homes.pop(session_id, None)
                 continue
-            target = self._handles[owner].service
-            if session_id not in target._sessions:
-                target.register_session(session)
-            self._homes[session_id] = owner
-            spent_after = (session.privacy.spent
-                           if session.privacy is not None else 0.0)
-            self.migration_epsilon_log.append(
-                (session_id, spent_before, spent_after))
-            self.fleet_stats.migrated_sessions += 1
+            self._rehome(session, owner, spent_before)
             moved += 1
         return moved
+
+    def _rehome(self, session: Session, replica_id: int,
+                spent_before: float) -> None:
+        """Home one live session on ``replica_id``; log its ε either side."""
+        target = self._handles[replica_id].service
+        if session.session_id not in target._sessions:
+            target.register_session(session)
+        self._homes[session.session_id] = replica_id
+        self.migration_epsilon_log.append(
+            (session.session_id, spent_before, _spent_epsilon(session)))
+        self.fleet_stats.migrated_sessions += 1
 
     # -- request path ----------------------------------------------------
 

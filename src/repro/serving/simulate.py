@@ -45,6 +45,19 @@ trace produced must sit in exactly one typed terminal
 (``SimulationReport.conservation_ok``), with in-flight work that the
 client abandoned (lost frames past their retry budget) resolved as
 ``FAILED`` — never silently dropped.
+
+One event loop
+--------------
+:func:`simulate` and :func:`simulate_fleet` are thin front-ends over
+one private core.  The fleet loop is the general case: a bare service
+replays as a single always-healthy
+:class:`~repro.serving.fleet.ReplicaHandle` with no heartbeats, replica
+faults, autoscaler or admission.  Two edge rules are therefore shared.
+A replica whose scheduler declines to form a group while work is
+queued is parked (never ticked again this replay; the sweep resolves
+what it holds).  A response for a request that already reached its
+client is a duplicate serve: consumed, never re-measured, and it fails
+``conservation_ok`` (a single service dedups retries, so it has none).
 """
 
 from __future__ import annotations
@@ -62,6 +75,7 @@ from repro.serving.errors import (
     ServingError,
 )
 from repro.serving.faults import FaultInjector, RetryPolicy
+from repro.serving.fleet import ReplicaHandle
 from repro.serving.service import InferenceService
 from repro.serving.session import Session
 from repro.telemetry import QuantileSketch
@@ -321,6 +335,317 @@ def _publish_metrics(metrics, prefix, tracked_count, served_total,
     histogram.sum += latency_sum
 
 
+def _replay(owner, handles, sessions, trace, cost: TickCost,
+            default_features, retry: RetryPolicy | None,
+            faults: FaultInjector | None, retain_latencies, metrics,
+            next_heartbeat=lambda: math.inf, replica_faults=(),
+            autoscaler=None, admission=None) -> tuple[dict, dict]:
+    """The one event loop behind :func:`simulate` and :func:`simulate_fleet`.
+
+    ``owner`` (a service or a fleet) owns the clock, the sessions and
+    the stats; ``handles`` is a live view of its replica handles in
+    ascending id order.  ``next_heartbeat``, ``replica_faults``,
+    ``autoscaler`` and ``admission`` are the fleet's extra event
+    sources.  Returns the :class:`SimulationReport` fields and the
+    fleet-only :class:`FleetSimulationReport` fields the loop measured.
+    """
+    start = dataclasses.replace(owner.stats)  # a service's stats are live
+    session_by_id = {s.session_id: s for s in sessions}
+    arrivals, retain = _prepare_trace(trace, retain_latencies)
+    latencies: list[float] = []
+    completions: list[float] = []
+    by_session: dict[int, list[float]] = {}
+    sketch = QuantileSketch()
+    by_sketch: dict[int, QuantileSketch] = {}
+    served_total, latency_sum = 0, 0.0
+    tracked: list[_Pending] = []
+    by_key: dict[tuple[int, int], _Pending] = {}
+    ticks_by_replica: dict[int, int] = {}
+    admission_decisions: dict[int, str] = {}  # session id -> outcome
+    arrivals_rejected = 0
+    scale_log: list[tuple[float, str, int, float]] = []
+    violations = ticks = retry_attempts = duplicates = 0
+    base = owner.now  # rebase the trace's epoch; advance_clock never rewinds
+    # Replicas spawned mid-replay are absent: next_tick defaults them to base.
+    free_at = {handle.replica_id: base for handle in handles}
+    makespan = clock = base
+
+    seq = itertools.count()
+    heap: list[tuple[float, int, int, object]] = []
+    next_arrival = next(arrivals, None)
+
+    def pull_arrival() -> Arrival:
+        """Consume the head arrival, enforcing stream monotonicity."""
+        nonlocal next_arrival
+        arrival = next_arrival
+        next_arrival = next(arrivals, None)
+        if next_arrival is not None and next_arrival.time < arrival.time:
+            raise ValueError(
+                "streaming traces must yield non-decreasing arrival times "
+                f"(got {next_arrival.time} after {arrival.time}); "
+                "materialise as a list to have the simulator sort")
+        return arrival
+
+    def push(at: float, kind: int, payload) -> None:
+        heapq.heappush(heap, (at, next(seq), kind, payload))
+
+    for fault in replica_faults:
+        push(base + fault.at_s, _FAULT, fault)
+    if autoscaler is not None:
+        push(base + autoscaler.interval_s, _SCALE, None)
+
+    def attempt(pend: _Pending) -> None:
+        """One real submission attempt; schedules its own retry on failure."""
+        nonlocal retry_attempts
+        pend.attempts += 1
+        if pend.attempts > 1:
+            retry_attempts += 1
+        try:
+            pend.session.submit_features(pend.features, record=pend.record,
+                                         deadline=pend.deadline,
+                                         request_id=pend.request_id)
+        except ServingError as exc:
+            if (retry is not None and pend.attempts < retry.max_attempts
+                    and retry.retryable(exc)):
+                push(clock + retry.delay_s(pend.attempts - 1,
+                                           pend.session._retry_rng),
+                     _SUBMIT, pend)
+            return  # otherwise: the service marked the terminal state
+        if retry is not None and retry.timeout_s is not None:
+            push(clock + retry.timeout_s, _TIMEOUT, pend)
+
+    def next_tick() -> tuple[float, object | None]:
+        """Earliest (time, handle) a replica could tick, or (inf, None).
+
+        Walks the *current* handles, so spawned replicas tick too.
+        """
+        best_at, best = math.inf, None
+        for handle in handles:
+            if not handle.alive(clock) or not handle.service.pending:
+                continue
+            at = max(clock, free_at.get(handle.replica_id, base))
+            # A hung/partitioned replica wakes when its windows clear
+            # (iterate: waking from one window can land inside the other).
+            while True:
+                woken = at
+                if handle.hung(woken):
+                    woken = max(woken, handle.hung_until)
+                if handle.partitioned(woken):
+                    woken = max(woken, handle.partitioned_until)
+                if woken == at:
+                    break
+                at = woken
+            at = max(at, handle.service.scheduler.next_event_time(at))
+            if at < best_at:
+                best_at, best = at, handle
+        return best_at, best
+
+    while True:
+        arrival_at = (base + next_arrival.time if next_arrival is not None
+                      else math.inf)
+        heap_at = heap[0][0] if heap else math.inf
+        next_event = min(arrival_at, heap_at)
+        tick_at, tick_handle = next_tick()
+        heartbeat_at = (next_heartbeat()
+                        if (heap or next_arrival is not None
+                            or tick_handle is not None) else math.inf)
+        soonest = min(next_event, tick_at, heartbeat_at)
+        if math.isinf(soonest):
+            break
+
+        if heartbeat_at < min(next_event, tick_at):
+            clock = max(clock, heartbeat_at)
+            owner.advance_clock(clock)  # pumps: heartbeats, detection, ckpts
+            continue
+
+        if next_event <= tick_at:
+            if arrival_at <= heap_at:  # arrivals win ties (trace order)
+                arrival = pull_arrival()
+                clock = max(clock, arrival_at)
+                owner.advance_clock(clock)
+                session = sessions[arrival.session_index]
+                if arrival.close_session:
+                    owner.close_session(session)
+                    continue
+                if admission is not None:
+                    decision = admission_decisions.get(session.session_id)
+                    if decision is None:  # the session's first arrival
+                        decision = admission.decide(owner.pressure)
+                        admission_decisions[session.session_id] = decision
+                        if decision == "downgrade":
+                            # Best-effort from here on: weight 0 at the
+                            # home replica's scheduler (no-op for
+                            # weight-blind schedulers).
+                            session.weight = 0.0
+                            home = owner.home_of(session.session_id)
+                            owner.handle(home).service.scheduler \
+                                .set_session_weight(session.session_id, 0.0)
+                    if decision == "reject":
+                        arrivals_rejected += 1
+                        continue  # dropped at the door: nothing submitted
+                features = (arrival.features if arrival.features is not None
+                            else default_features)
+                if features is None:
+                    raise ValueError("arrival carries no features and no "
+                                     "default_features was given")
+                deadline = (clock + arrival.deadline_s
+                            if arrival.deadline_s is not None else None)
+                pend = _Pending(session=session,
+                                request_id=session.reserve_request_id(),
+                                features=features, record=arrival.record,
+                                deadline=deadline, arrived=clock)
+                tracked.append(pend)
+                by_key[(session.session_id, pend.request_id)] = pend
+                delay = 0.0
+                if faults is not None:
+                    delay = (faults.submission_delay()
+                             + faults.session_stall(session.session_id))
+                if delay > 0.0:
+                    push(clock + delay, _SUBMIT, pend)
+                else:
+                    attempt(pend)
+                continue
+            at, _, kind, payload = heapq.heappop(heap)
+            clock = max(clock, at)
+            owner.advance_clock(clock)
+            if kind == _SUBMIT:
+                if not payload.done:
+                    attempt(payload)
+            elif kind == _TIMEOUT:  # loss detection for dropped frames
+                pend = payload
+                if (not pend.done and retry is not None
+                        and pend.attempts < retry.max_attempts
+                        and pend.session.request_state(pend.request_id)
+                        is RequestState.QUEUED):
+                    attempt(pend)  # re-arms its own timeout on success
+            elif kind == _SCALE:  # the autoscaler's periodic check
+                event = autoscaler.step(clock)
+                if event is not None:
+                    scale_log.append((event.time - base, event.action,
+                                      event.replica_id, event.pressure))
+                # Keep checking while traffic can still arrive or drain;
+                # a finished, idle replay lets the loop wind down.
+                if next_arrival is not None or heap or owner.pending:
+                    push(clock + autoscaler.interval_s, _SCALE, None)
+            else:  # _FAULT: the replica-level schedule strikes
+                owner.apply_fault(dataclasses.replace(payload, at_s=clock))
+            continue
+
+        # A replica tick fires.
+        clock = tick_at
+        owner.advance_clock(clock)
+        handle = tick_handle
+        if not handle.tickable(clock) or not handle.service.pending:
+            continue  # the pump fenced it (or drained it) at this instant
+        service = handle.service
+        rid = handle.replica_id
+        failures_before = service.stats.tick_failures
+        failed_samples_before = service.stats.tick_failure_samples
+        expired_before = service.stats.expired_requests
+        refusals_before = service.stats.privacy_refusals
+        responses = service.tick()
+        factor = handle.cost_factor(clock)
+        if not responses:
+            if service.stats.tick_failures > failures_before:
+                # The crashed pass still occupied the replica: charge the
+                # attempted group's cost before the retry pass can start.
+                attempted = (service.stats.tick_failure_samples
+                             - failed_samples_before)
+                free_at[rid] = clock + cost.pass_seconds(attempted) * factor
+                continue
+            if service.stats.expired_requests > expired_before:
+                continue  # progress: expired requests were shed pre-schedule
+            if service.stats.privacy_refusals > refusals_before:
+                continue  # progress: budget-exhausted riders were refused
+            # The scheduler declined to form a group: park the replica
+            # (its queue is swept as FAILED if nothing else wakes it).
+            free_at[rid] = math.inf
+            continue
+        ticks += 1
+        ticks_by_replica[rid] = ticks_by_replica.get(rid, 0) + 1
+        group_samples = sum(r.outputs[0].shape[0] for r in responses)
+        pass_done = clock + cost.pass_seconds(group_samples) * factor
+        free_at[rid] = pass_done
+        for response in responses:
+            done = pass_done + cost.per_request_downlink_s
+            makespan = max(makespan, done)
+            session = session_by_id.get(response.session_id)
+            if session is not None:  # consume so memory stays bounded
+                session.take_response(response.request_id)
+            pend = by_key.get((response.session_id, response.request_id))
+            if pend is None:
+                arrived, deadline = clock, None
+            elif pend.done:
+                # Second serve of one request: count the exactly-once
+                # violation, never re-measure.
+                duplicates += 1
+                continue
+            else:
+                pend.done = True
+                arrived, deadline = pend.arrived, pend.deadline
+            latency = done - arrived
+            served_total += 1
+            latency_sum += latency
+            sketch.add(latency)
+            by_sketch.setdefault(
+                response.session_id,
+                QuantileSketch(_SESSION_SKETCH_CAPACITY)).add(latency)
+            if retain:
+                latencies.append(latency)
+                completions.append(done - base)
+                by_session.setdefault(response.session_id, []).append(latency)
+            if deadline is not None and done > deadline:
+                violations += 1
+
+    # Conservation sweep: every traced submission must end in exactly one
+    # terminal state.  Abandoned in-flight work (a frame lost past its
+    # retry budget, work stranded on a fenced replica, a queue no tick
+    # drained) resolves client-side as FAILED — never silently dropped.
+    terminal_counts = {state.value: 0 for state in TERMINAL_STATES}
+    for pend in tracked:
+        state = pend.session.request_state(pend.request_id)
+        if state is None or not state.terminal:
+            pend.session._resolve(pend.request_id, RequestState.FAILED)
+            state = RequestState.FAILED
+        terminal_counts[state.value] += 1
+    conservation_ok = (sum(terminal_counts.values()) == len(tracked)
+                       and duplicates == 0)
+
+    stats = owner.stats
+    if metrics is not None:
+        _publish_metrics(metrics, "sim", len(tracked), served_total,
+                         violations, retry_attempts, sketch, latency_sum)
+        stats.publish(metrics, "service")
+    decisions = list(admission_decisions.values())
+    actions = [action for _, action, _, _ in scale_log]
+    report = dict(
+        scheduler=next(iter(handles)).service.config.scheduler,
+        latencies_s=latencies, violations=violations,
+        rejected=terminal_counts[RequestState.REJECTED.value],
+        ticks=ticks, makespan_s=makespan - base,
+        throttled=terminal_counts[RequestState.THROTTLED.value],
+        latencies_by_session=by_session, submitted=len(tracked),
+        terminal_counts=terminal_counts, conservation_ok=conservation_ok,
+        served_total=served_total, latency_sum_s=latency_sum,
+        latency_sketch=sketch, sketch_by_session=by_sketch,
+        tick_failures=stats.tick_failures - start.tick_failures,
+        retries=retry_attempts,
+        degraded=stats.degraded_responses - start.degraded_responses,
+        privacy_refusals=stats.privacy_refusals - start.privacy_refusals,
+        exhausted_sessions=(stats.privacy_exhausted_sessions
+                            - start.privacy_exhausted_sessions),
+        rotations=stats.selector_rotations - start.selector_rotations)
+    fleet_only = dict(
+        duplicate_serves=duplicates,
+        ticks_by_replica=ticks_by_replica,
+        completion_times_s=completions,
+        admission_rejected=decisions.count("reject"),
+        admission_downgraded=decisions.count("downgrade"),
+        arrivals_rejected=arrivals_rejected, autoscale_log=scale_log,
+        spawns=actions.count("spawn"), drains_scaled=actions.count("drain"))
+    return report, fleet_only
+
+
 def simulate(service: InferenceService, sessions, trace, cost: TickCost,
              default_features: np.ndarray | None = None,
              retry: RetryPolicy | None = None,
@@ -362,216 +687,10 @@ def simulate(service: InferenceService, sessions, trace, cost: TickCost,
     sweep (see the module docstring).
     """
     faults = faults if faults is not None else service.faults
-    session_by_id = {s.session_id: s for s in sessions}
-    arrivals, retain = _prepare_trace(trace, retain_latencies)
-    latencies: list[float] = []
-    by_session: dict[int, list[float]] = {}
-    sketch = QuantileSketch()
-    by_sketch: dict[int, QuantileSketch] = {}
-    served_total = 0
-    latency_sum = 0.0
-    tracked: list[_Pending] = []
-    by_key: dict[tuple[int, int], _Pending] = {}
-    violations = ticks = retry_attempts = 0
-    failures_start = service.stats.tick_failures
-    degraded_start = service.stats.degraded_responses
-    refusals_start = service.stats.privacy_refusals
-    exhausted_start = service.stats.privacy_exhausted_sessions
-    rotations_start = service.stats.selector_rotations
-    base = service.now  # rebase the trace's epoch; advance_clock never rewinds
-    server_free_at = base
-    makespan = base
-    clock = base
-
-    seq = itertools.count()
-    heap: list[tuple[float, int, int, object]] = []
-    next_arrival = next(arrivals, None)
-
-    def pull_arrival() -> Arrival:
-        """Consume the head arrival, enforcing stream monotonicity."""
-        nonlocal next_arrival
-        arrival = next_arrival
-        next_arrival = next(arrivals, None)
-        if next_arrival is not None and next_arrival.time < arrival.time:
-            raise ValueError(
-                "streaming traces must yield non-decreasing arrival times "
-                f"(got {next_arrival.time} after {arrival.time}); "
-                "materialise as a list to have the simulator sort")
-        return arrival
-
-    def push(at: float, kind: int, payload) -> None:
-        heapq.heappush(heap, (at, next(seq), kind, payload))
-
-    def attempt(pend: _Pending) -> None:
-        """One real submission attempt; schedules its own retry on failure."""
-        nonlocal retry_attempts
-        pend.attempts += 1
-        if pend.attempts > 1:
-            retry_attempts += 1
-        try:
-            pend.session.submit_features(pend.features, record=pend.record,
-                                         deadline=pend.deadline,
-                                         request_id=pend.request_id)
-        except ServingError as exc:
-            if (retry is not None and pend.attempts < retry.max_attempts
-                    and retry.retryable(exc)):
-                push(clock + retry.delay_s(pend.attempts - 1,
-                                           pend.session._retry_rng),
-                     _SUBMIT, pend)
-            return  # otherwise: the service marked the terminal state
-        if retry is not None and retry.timeout_s is not None:
-            push(clock + retry.timeout_s, _TIMEOUT, pend)
-
-    while heap or next_arrival is not None or service.pending:
-        arrival_at = (base + next_arrival.time if next_arrival is not None
-                      else math.inf)
-        heap_at = heap[0][0] if heap else math.inf
-        next_event = min(arrival_at, heap_at)
-        if service.pending:
-            earliest = max(clock, server_free_at)
-            tick_at = max(earliest, service.scheduler.next_event_time(earliest))
-        else:
-            tick_at = math.inf
-
-        if next_event <= tick_at:
-            if arrival_at <= heap_at:  # arrivals win ties (trace order)
-                arrival = pull_arrival()
-                clock = max(clock, arrival_at)
-                service.advance_clock(clock)
-                session = sessions[arrival.session_index]
-                if arrival.close_session:
-                    service.close_session(session)
-                    continue
-                features = (arrival.features if arrival.features is not None
-                            else default_features)
-                if features is None:
-                    raise ValueError("arrival carries no features and no "
-                                     "default_features was given")
-                deadline = (clock + arrival.deadline_s
-                            if arrival.deadline_s is not None else None)
-                pend = _Pending(session=session,
-                                request_id=session.reserve_request_id(),
-                                features=features, record=arrival.record,
-                                deadline=deadline, arrived=clock)
-                tracked.append(pend)
-                by_key[(session.session_id, pend.request_id)] = pend
-                delay = 0.0
-                if faults is not None:
-                    delay = (faults.submission_delay()
-                             + faults.session_stall(session.session_id))
-                if delay > 0.0:
-                    push(clock + delay, _SUBMIT, pend)
-                else:
-                    attempt(pend)
-                continue
-            at, _, kind, payload = heapq.heappop(heap)
-            clock = max(clock, at)
-            service.advance_clock(clock)
-            if kind == _SUBMIT:
-                if not payload.done:
-                    attempt(payload)
-            else:  # _TIMEOUT: loss detection for silently dropped frames
-                pend = payload
-                if (not pend.done and retry is not None
-                        and pend.attempts < retry.max_attempts
-                        and pend.session.request_state(pend.request_id)
-                        is RequestState.QUEUED):
-                    attempt(pend)
-            continue
-
-        clock = tick_at
-        service.advance_clock(clock)
-        failures_before = service.stats.tick_failures
-        failed_samples_before = service.stats.tick_failure_samples
-        expired_before = service.stats.expired_requests
-        refusals_before = service.stats.privacy_refusals
-        responses = service.tick()
-        if not responses:
-            if service.stats.tick_failures > failures_before:
-                # The crashed pass still occupied the server: charge the
-                # attempted group's cost before the retry pass can start.
-                attempted = (service.stats.tick_failure_samples
-                             - failed_samples_before)
-                server_free_at = clock + cost.pass_seconds(attempted)
-                continue
-            if service.stats.expired_requests > expired_before:
-                continue  # progress: expired requests were shed pre-schedule
-            if service.stats.privacy_refusals > refusals_before:
-                continue  # progress: budget-exhausted riders were refused
-            break  # defensive: scheduler declined to form a group
-        ticks += 1
-        group_samples = sum(r.outputs[0].shape[0] for r in responses)
-        pass_done = clock + cost.pass_seconds(group_samples)
-        server_free_at = pass_done
-        for response in responses:
-            done = pass_done + cost.per_request_downlink_s
-            makespan = max(makespan, done)
-            key = (response.session_id, response.request_id)
-            pend = by_key.pop(key, None)
-            arrived, deadline = ((pend.arrived, pend.deadline) if pend
-                                 else (clock, None))
-            if pend is not None:
-                pend.done = True
-            latency = done - arrived
-            served_total += 1
-            latency_sum += latency
-            sketch.add(latency)
-            by_sketch.setdefault(
-                response.session_id,
-                QuantileSketch(_SESSION_SKETCH_CAPACITY)).add(latency)
-            if retain:
-                latencies.append(latency)
-                by_session.setdefault(response.session_id, []).append(latency)
-            if deadline is not None and done > deadline:
-                violations += 1
-            session = session_by_id.get(response.session_id)
-            if session is not None:  # consume so memory stays bounded
-                session.take_response(response.request_id)
-
-    # Conservation sweep: every traced submission must sit in exactly one
-    # terminal state.  Abandoned in-flight work (a frame lost on the wire
-    # with no retry budget left, or a queue the scheduler declined to
-    # drain) resolves client-side as FAILED — never silently dropped.
-    terminal_counts = {state.value: 0 for state in TERMINAL_STATES}
-    for pend in tracked:
-        state = pend.session.request_state(pend.request_id)
-        if state is None or not state.terminal:
-            pend.session._resolve(pend.request_id, RequestState.FAILED)
-            state = RequestState.FAILED
-        terminal_counts[state.value] += 1
-    conservation_ok = sum(terminal_counts.values()) == len(tracked)
-
-    if metrics is not None:
-        _publish_metrics(metrics, "sim", len(tracked), served_total,
-                         violations, retry_attempts, sketch, latency_sum)
-        service.stats.publish(metrics, "service")
-
-    return SimulationReport(scheduler=service.config.scheduler,
-                            latencies_s=latencies, violations=violations,
-                            rejected=terminal_counts[RequestState.REJECTED.value],
-                            ticks=ticks,
-                            makespan_s=makespan - base,
-                            throttled=terminal_counts[RequestState.THROTTLED.value],
-                            latencies_by_session=by_session,
-                            submitted=len(tracked),
-                            terminal_counts=terminal_counts,
-                            conservation_ok=conservation_ok,
-                            served_total=served_total,
-                            latency_sum_s=latency_sum,
-                            latency_sketch=sketch,
-                            sketch_by_session=by_sketch,
-                            tick_failures=(service.stats.tick_failures
-                                           - failures_start),
-                            retries=retry_attempts,
-                            degraded=(service.stats.degraded_responses
-                                      - degraded_start),
-                            privacy_refusals=(service.stats.privacy_refusals
-                                              - refusals_start),
-                            exhausted_sessions=(
-                                service.stats.privacy_exhausted_sessions
-                                - exhausted_start),
-                            rotations=(service.stats.selector_rotations
-                                       - rotations_start))
+    report, _ = _replay(service, (ReplicaHandle(0, service),), sessions,
+                        trace, cost, default_features, retry, faults,
+                        retain_latencies, metrics)
+    return SimulationReport(**report)
 
 
 # -- fleet mode ----------------------------------------------------------
@@ -651,7 +770,7 @@ def simulate_fleet(fleet, sessions, trace, cost: TickCost,
                    admission=None) -> FleetSimulationReport:
     """Replay ``trace`` through a :class:`~repro.serving.fleet.ServiceFleet`.
 
-    The :func:`simulate` event loop, promoted to fleet scope: each
+    The same event loop as :func:`simulate`, at fleet scope: each
     replica keeps its **own** busy clock (``free_at``), so two replicas
     really do serve concurrently on virtual time; heartbeats are events
     (the loop advances to the next scheduled heartbeat when it precedes
@@ -684,333 +803,33 @@ def simulate_fleet(fleet, sessions, trace, cost: TickCost,
     (best-effort) before their first submit.
     """
     faults = faults if faults is not None else fleet.faults
-    session_by_id = {s.session_id: s for s in sessions}
-    arrivals, retain = _prepare_trace(trace, retain_latencies)
-    latencies: list[float] = []
-    completions: list[float] = []
-    by_session: dict[int, list[float]] = {}
-    sketch = QuantileSketch()
-    by_sketch: dict[int, QuantileSketch] = {}
-    served_total = 0
-    latency_sum = 0.0
-    tracked: list[_Pending] = []
-    by_key: dict[tuple[int, int], _Pending] = {}
-    ticks_by_replica: dict[int, int] = {}
-    admission_decisions: dict[int, str] = {}  # session id -> outcome
-    arrivals_rejected = 0
-    scale_log: list[tuple[float, str, int, float]] = []
-    violations = ticks = retry_attempts = duplicates = 0
-    failures_start = fleet.stats.tick_failures
-    degraded_start = fleet.stats.degraded_responses
-    refusals_start = fleet.stats.privacy_refusals
-    exhausted_start = fleet.stats.privacy_exhausted_sessions
-    rotations_start = fleet.stats.selector_rotations
     migrated_start = fleet.fleet_stats.migrated_sessions
     failovers_start = fleet.fleet_stats.failovers
     lost_start = fleet.fleet_stats.lost_submits
     health_mark = len(fleet.health_log)
     epsilon_mark = len(fleet.migration_epsilon_log)
     base = fleet.now
-    # Spawned replicas are absent here; next_tick defaults them to base
-    # (free the moment they join).
-    free_at = {rid: base for rid in fleet.replica_ids}
-    makespan = base
-    clock = base
-
-    seq = itertools.count()
-    heap: list[tuple[float, int, int, object]] = []
-    next_arrival = next(arrivals, None)
-
-    def pull_arrival() -> Arrival:
-        """Consume the head arrival, enforcing stream monotonicity."""
-        nonlocal next_arrival
-        arrival = next_arrival
-        next_arrival = next(arrivals, None)
-        if next_arrival is not None and next_arrival.time < arrival.time:
-            raise ValueError(
-                "streaming traces must yield non-decreasing arrival times "
-                f"(got {next_arrival.time} after {arrival.time}); "
-                "materialise as a list to have the simulator sort")
-        return arrival
-
-    if faults is not None:
-        for fault in faults.plan.replica_faults:
-            heapq.heappush(heap, (base + fault.at_s, next(seq), _FAULT,
-                                  fault))
-    if autoscaler is not None:
-        heapq.heappush(heap, (base + autoscaler.interval_s, next(seq),
-                              _SCALE, None))
-
-    def push(at: float, kind: int, payload) -> None:
-        heapq.heappush(heap, (at, next(seq), kind, payload))
-
-    def attempt(pend: _Pending) -> None:
-        nonlocal retry_attempts
-        pend.attempts += 1
-        if pend.attempts > 1:
-            retry_attempts += 1
-        try:
-            pend.session.submit_features(pend.features, record=pend.record,
-                                         deadline=pend.deadline,
-                                         request_id=pend.request_id)
-        except ServingError as exc:
-            if (retry is not None and pend.attempts < retry.max_attempts
-                    and retry.retryable(exc)):
-                push(clock + retry.delay_s(pend.attempts - 1,
-                                           pend.session._retry_rng),
-                     _SUBMIT, pend)
-            return
-        if retry is not None and retry.timeout_s is not None:
-            push(clock + retry.timeout_s, _TIMEOUT, pend)
-
-    def next_tick() -> tuple[float, object | None]:
-        """Earliest (time, handle) a replica could tick, or (inf, None).
-
-        Iterates the fleet's *current* replica ids, so replicas the
-        autoscaler spawned mid-replay tick too (free the moment they
-        joined — no ``free_at`` entry yet means never busy).
-        """
-        best_at, best = math.inf, None
-        for rid in fleet.replica_ids:
-            handle = fleet.handle(rid)
-            if not handle.alive(clock) or not handle.service.pending:
-                continue
-            at = max(clock, free_at.get(rid, base))
-            # A hung/partitioned replica wakes when its windows clear
-            # (iterate: waking from one window can land inside the other).
-            while True:
-                woken = at
-                if handle.hung(woken):
-                    woken = max(woken, handle.hung_until)
-                if handle.partitioned(woken):
-                    woken = max(woken, handle.partitioned_until)
-                if woken == at:
-                    break
-                at = woken
-            at = max(at, handle.service.scheduler.next_event_time(at))
-            if at < best_at:
-                best_at, best = at, handle
-        return best_at, best
-
-    while True:
-        arrival_at = (base + next_arrival.time if next_arrival is not None
-                      else math.inf)
-        heap_at = heap[0][0] if heap else math.inf
-        next_event = min(arrival_at, heap_at)
-        tick_at, tick_handle = next_tick()
-        heartbeat_at = (fleet.next_heartbeat_time()
-                        if (heap or next_arrival is not None
-                            or tick_handle is not None) else math.inf)
-        soonest = min(next_event, tick_at, heartbeat_at)
-        if math.isinf(soonest):
-            break
-
-        if heartbeat_at < min(next_event, tick_at):
-            clock = max(clock, heartbeat_at)
-            fleet.advance_clock(clock)  # pumps: heartbeats, detection, ckpts
-            continue
-
-        if next_event <= tick_at:
-            if arrival_at <= heap_at:  # arrivals win ties (trace order)
-                arrival = pull_arrival()
-                clock = max(clock, arrival_at)
-                fleet.advance_clock(clock)
-                session = sessions[arrival.session_index]
-                if arrival.close_session:
-                    fleet.close_session(session)
-                    continue
-                if admission is not None:
-                    decision = admission_decisions.get(session.session_id)
-                    if decision is None:  # the session's first arrival
-                        decision = admission.decide(fleet.pressure)
-                        admission_decisions[session.session_id] = decision
-                        if decision == "downgrade":
-                            # Best-effort from here on: weight 0 at the
-                            # home replica's scheduler (no-op for
-                            # weight-blind schedulers).
-                            session.weight = 0.0
-                            home = fleet.home_of(session.session_id)
-                            fleet.handle(home).service.scheduler \
-                                .set_session_weight(session.session_id, 0.0)
-                    if decision == "reject":
-                        arrivals_rejected += 1
-                        continue  # dropped at the door: nothing submitted
-                features = (arrival.features if arrival.features is not None
-                            else default_features)
-                if features is None:
-                    raise ValueError("arrival carries no features and no "
-                                     "default_features was given")
-                deadline = (clock + arrival.deadline_s
-                            if arrival.deadline_s is not None else None)
-                pend = _Pending(session=session,
-                                request_id=session.reserve_request_id(),
-                                features=features, record=arrival.record,
-                                deadline=deadline, arrived=clock)
-                tracked.append(pend)
-                by_key[(session.session_id, pend.request_id)] = pend
-                delay = 0.0
-                if faults is not None:
-                    delay = (faults.submission_delay()
-                             + faults.session_stall(session.session_id))
-                if delay > 0.0:
-                    push(clock + delay, _SUBMIT, pend)
-                else:
-                    attempt(pend)
-                continue
-            at, _, kind, payload = heapq.heappop(heap)
-            clock = max(clock, at)
-            fleet.advance_clock(clock)
-            if kind == _SUBMIT:
-                if not payload.done:
-                    attempt(payload)
-            elif kind == _TIMEOUT:
-                pend = payload
-                if (not pend.done and retry is not None
-                        and pend.attempts < retry.max_attempts
-                        and pend.session.request_state(pend.request_id)
-                        is RequestState.QUEUED):
-                    attempt(pend)  # re-arms its own timeout on success
-            elif kind == _SCALE:  # the autoscaler's periodic check
-                event = autoscaler.step(clock)
-                if event is not None:
-                    scale_log.append((event.time - base, event.action,
-                                      event.replica_id, event.pressure))
-                # Keep checking while traffic can still arrive or drain;
-                # a finished, idle replay lets the loop wind down.
-                if next_arrival is not None or heap or fleet.pending:
-                    push(clock + autoscaler.interval_s, _SCALE, None)
-            else:  # _FAULT: the replica-level schedule strikes
-                fault = payload
-                fleet.apply_fault(dataclasses.replace(fault,
-                                                      at_s=clock))
-            continue
-
-        # A replica tick fires.
-        clock = tick_at
-        fleet.advance_clock(clock)
-        handle = tick_handle
-        if not handle.tickable(clock) or not handle.service.pending:
-            continue  # the pump fenced it (or drained it) at this instant
-        service = handle.service
-        rid = handle.replica_id
-        failures_before = service.stats.tick_failures
-        failed_samples_before = service.stats.tick_failure_samples
-        expired_before = service.stats.expired_requests
-        refusals_before = service.stats.privacy_refusals
-        responses = service.tick()
-        factor = handle.cost_factor(clock)
-        if not responses:
-            if service.stats.tick_failures > failures_before:
-                attempted = (service.stats.tick_failure_samples
-                             - failed_samples_before)
-                free_at[rid] = clock + cost.pass_seconds(attempted) * factor
-                continue
-            if service.stats.expired_requests > expired_before:
-                continue
-            if service.stats.privacy_refusals > refusals_before:
-                continue  # progress: budget-exhausted riders were refused
-            free_at[rid] = math.inf  # defensive: scheduler declined to group
-            continue
-        ticks += 1
-        ticks_by_replica[rid] = ticks_by_replica.get(rid, 0) + 1
-        group_samples = sum(r.outputs[0].shape[0] for r in responses)
-        pass_done = clock + cost.pass_seconds(group_samples) * factor
-        free_at[rid] = pass_done
-        for response in responses:
-            done = pass_done + cost.per_request_downlink_s
-            makespan = max(makespan, done)
-            key = (response.session_id, response.request_id)
-            pend = by_key.get(key)
-            arrived, deadline = ((pend.arrived, pend.deadline) if pend
-                                 else (clock, None))
-            if pend is not None:
-                if pend.done:
-                    # Second serve of one request: count the exactly-once
-                    # violation, consume the response, never re-measure.
-                    duplicates += 1
-                    session = session_by_id.get(response.session_id)
-                    if session is not None:
-                        session.take_response(response.request_id)
-                    continue
-                pend.done = True
-            latency = done - arrived
-            served_total += 1
-            latency_sum += latency
-            sketch.add(latency)
-            by_sketch.setdefault(
-                response.session_id,
-                QuantileSketch(_SESSION_SKETCH_CAPACITY)).add(latency)
-            if retain:
-                latencies.append(latency)
-                completions.append(done - base)
-                by_session.setdefault(response.session_id, []).append(latency)
-            if deadline is not None and done > deadline:
-                violations += 1
-            session = session_by_id.get(response.session_id)
-            if session is not None:
-                session.take_response(response.request_id)
-
-    # Fleet-wide conservation sweep: across kills, hangs, partitions and
-    # failovers, every traced submission must end in exactly one terminal
-    # state.  Work stranded on a fenced replica past its retry budget
-    # resolves as FAILED — never silently dropped.
-    terminal_counts = {state.value: 0 for state in TERMINAL_STATES}
-    for pend in tracked:
-        state = pend.session.request_state(pend.request_id)
-        if state is None or not state.terminal:
-            pend.session._resolve(pend.request_id, RequestState.FAILED)
-            state = RequestState.FAILED
-        terminal_counts[state.value] += 1
-    conservation_ok = (sum(terminal_counts.values()) == len(tracked)
-                       and duplicates == 0)
-
-    stats = fleet.stats
+    # The handle view is live (spawned replicas join it mid-replay) and
+    # in ascending replica id order (ids only ever grow).
+    report, fleet_only = _replay(
+        fleet, fleet._handles.values(), sessions, trace, cost,
+        default_features, retry, faults, retain_latencies, metrics,
+        next_heartbeat=fleet.next_heartbeat_time,
+        replica_faults=(faults.plan.replica_faults if faults is not None
+                        else ()),
+        autoscaler=autoscaler, admission=admission)
     if metrics is not None:
-        _publish_metrics(metrics, "sim", len(tracked), served_total,
-                         violations, retry_attempts, sketch, latency_sum)
-        stats.publish(metrics, "service")
         fleet.fleet_stats.publish(metrics, "fleet")
         metrics.gauge("fleet.ring_replicas").set(
             len(fleet.ring.replica_ids))
-    admission_counts = {"downgrade": 0, "reject": 0}
-    for decision in admission_decisions.values():
-        if decision in admission_counts:
-            admission_counts[decision] += 1
     return FleetSimulationReport(
-        scheduler=fleet.replicas[0].config.scheduler,
-        latencies_s=latencies, violations=violations,
-        rejected=terminal_counts[RequestState.REJECTED.value],
-        ticks=ticks, makespan_s=makespan - base,
-        throttled=terminal_counts[RequestState.THROTTLED.value],
-        latencies_by_session=by_session, submitted=len(tracked),
-        terminal_counts=terminal_counts, conservation_ok=conservation_ok,
-        served_total=served_total,
-        latency_sum_s=latency_sum,
-        latency_sketch=sketch,
-        sketch_by_session=by_sketch,
-        tick_failures=stats.tick_failures - failures_start,
-        retries=retry_attempts,
-        degraded=stats.degraded_responses - degraded_start,
-        privacy_refusals=stats.privacy_refusals - refusals_start,
-        exhausted_sessions=(stats.privacy_exhausted_sessions
-                            - exhausted_start),
-        rotations=stats.selector_rotations - rotations_start,
-        duplicate_serves=duplicates,
+        **report, **fleet_only,
         migrated_sessions=(fleet.fleet_stats.migrated_sessions
                            - migrated_start),
         failovers=fleet.fleet_stats.failovers - failovers_start,
         lost_submits=fleet.fleet_stats.lost_submits - lost_start,
         health_log=[(t - base, rid, state)
                     for t, rid, state in fleet.health_log[health_mark:]],
-        ticks_by_replica=ticks_by_replica,
-        completion_times_s=completions,
-        admission_rejected=admission_counts["reject"],
-        admission_downgraded=admission_counts["downgrade"],
-        arrivals_rejected=arrivals_rejected,
-        autoscale_log=scale_log,
-        spawns=sum(1 for _, action, _, _ in scale_log if action == "spawn"),
-        drains_scaled=sum(1 for _, action, _, _ in scale_log
-                          if action == "drain"),
         replicas_final=len(fleet.ring.replica_ids),
         migration_epsilon_log=list(
             fleet.migration_epsilon_log[epsilon_mark:]))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import nn
 from repro.ci import Server
@@ -11,11 +13,16 @@ from repro.models.resnet import ResNet, ResNetConfig
 from repro.serving import (
     Arrival,
     DeadlineScheduler,
+    FaultInjector,
+    FaultPlan,
     InferenceService,
+    RetryPolicy,
+    ServiceFleet,
     TickCost,
     bursty_trace,
     poisson_trace,
     simulate,
+    simulate_fleet,
 )
 from repro.utils.rng import new_rng
 
@@ -262,3 +269,62 @@ class TestStreamingReports:
         assert histogram.percentile(50) == pytest.approx(report.p50_s)
         # The service's stat fields arrive as gauges.
         assert registry.gauge("service.served_requests").value == 200
+
+
+class TestOneReplayCore:
+    """A bare service and a one-replica fleet of its twin replay a trace
+    through one event loop, so every outcome must match, chaos included."""
+
+    COST = TickCost(pass_overhead_s=0.004, per_sample_s=0.0005,
+                    per_request_downlink_s=0.0002)
+    RETRY = RetryPolicy(max_attempts=4, base_delay_s=0.004, max_delay_s=0.05,
+                        jitter=0.1, timeout_s=0.06)
+    FEATURES = np.ones((1, 4), dtype=np.float32)
+
+    @staticmethod
+    def twin(scheduler, plan, fault_seed):
+        if scheduler == "deadline":
+            scheduler = DeadlineScheduler(pass_overhead_s=0.004,
+                                          sample_cost_s=0.0005,
+                                          max_group_samples=8)
+        return InferenceService(Server([nn.Identity(), nn.Identity()]),
+                                max_batch=4, max_queue=16,
+                                scheduler=scheduler,
+                                faults=FaultInjector(plan, seed=fault_seed))
+
+    @settings(max_examples=25, deadline=None)
+    @given(scheduler=st.sampled_from(["fifo", "fair", "deadline"]),
+           frame_fault_rate=st.sampled_from([0.0, 0.1, 0.3]),
+           fault_seed=st.integers(0, 2**16),
+           crash_at=st.integers(0, 8),
+           retry=st.booleans())
+    def test_simulate_matches_one_replica_fleet(self, scheduler,
+                                                frame_fault_rate,
+                                                fault_seed, crash_at,
+                                                retry):
+        plan = FaultPlan(corrupt_rate=frame_fault_rate / 3,
+                         truncate_rate=frame_fault_rate / 3,
+                         drop_rate=frame_fault_rate / 3,
+                         tick_failures_at=(crash_at,))
+        trace = bursty_trace(num_sessions=4, bursts=3, burst_size=10,
+                             burst_gap_s=0.03, deadline_s=0.05)
+        retry = self.RETRY if retry else None
+        reports = []
+        for fleet_mode in (False, True):
+            service = self.twin(scheduler, plan, fault_seed)
+            front = ServiceFleet([service]) if fleet_mode else service
+            sessions = [front.adopt_session(Client(nn.Identity(),
+                                                   nn.Identity()))
+                        for _ in range(4)]
+            replay = simulate_fleet if fleet_mode else simulate
+            reports.append(replay(front, sessions, trace, self.COST,
+                                  default_features=self.FEATURES,
+                                  retry=retry))
+        bare, fleet = reports
+        assert fleet.latencies_s == bare.latencies_s
+        assert fleet.terminal_counts == bare.terminal_counts
+        assert fleet.retries == bare.retries
+        assert fleet.tick_failures == bare.tick_failures
+        assert fleet.ticks == bare.ticks
+        assert fleet.makespan_s == bare.makespan_s
+        assert bare.conservation_ok and fleet.conservation_ok
