@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs smoke check: render the serving API and verify relative links.
+"""Docs smoke check: render the serving API and verify links and names.
 
-Two checks, both intended for CI (which also uploads ``docs/`` plus the
+Three checks, all intended for CI (which also uploads ``docs/`` plus the
 rendered API text as a workflow artifact):
 
 * **pydoc render** — import every ``repro.serving``, ``repro.privacy``
@@ -15,10 +15,18 @@ rendered API text as a workflow artifact):
 * **link check** — every *relative* markdown link in ``README.md`` and
   ``docs/*.md`` must resolve to an existing file (external http(s) links
   are not fetched).  Dead links fail the build.
+* **attribute references** — every backticked `` `Name.attr` `` (or
+  `` `Name.attr(...)` ``) in ``README.md`` and ``docs/*.md`` whose
+  ``Name`` is exported by one of the API packages must name a real
+  attribute: a class attribute (methods and properties included), a
+  dataclass field, or an attribute the class assigns as ``self.attr``.
+  A field renamed or removed in code thus fails the build until the
+  docs follow.
 
 Usage: ``python scripts/check_docs.py``
 """
 
+import dataclasses
 import inspect
 import pydoc
 import re
@@ -61,6 +69,9 @@ RENDER_DIR = REPO_ROOT / "build" / "docs-api"
 #: markdown inline links: [text](target); images and reference-style
 #: definitions resolve through the same pattern.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+
+#: a backticked ``Name.attr`` reference, optionally called: `Name.attr(...)`.
+_ATTR_REF = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\([^`]*\))?`")
 
 
 def render_api_docs(render_dir: Path = RENDER_DIR) -> list[str]:
@@ -129,16 +140,58 @@ def check_links() -> list[str]:
     return failures
 
 
+def _has_attribute(obj, attr: str) -> bool:
+    """Whether ``obj`` has ``attr`` as a class attribute, a dataclass
+    field or (for classes) a ``self.attr`` assignment in its source."""
+    if hasattr(obj, attr):
+        return True
+    if not inspect.isclass(obj):
+        return False
+    if dataclasses.is_dataclass(obj) and any(
+            f.name == attr for f in dataclasses.fields(obj)):
+        return True
+    assign = re.compile(rf"\bself\.{attr}\s*(?::[^=\n]+)?=(?!=)")
+    for cls in obj.__mro__:
+        try:
+            source = inspect.getsource(cls)
+        except (OSError, TypeError):  # builtins and C types have no source
+            continue
+        if assign.search(source):
+            return True
+    return False
+
+
+def check_attribute_refs() -> list[str]:
+    """Backticked ``Name.attr`` references to exported API names must
+    resolve; returns failures."""
+    exported = {}
+    for package_name in API_PACKAGES:
+        package = __import__(package_name, fromlist=["_"])
+        for symbol in package.__all__:
+            exported[symbol] = getattr(package, symbol)
+    failures = []
+    for doc in _iter_doc_files():
+        if not doc.exists():
+            continue  # check_links reports missing files
+        for name, attr in _ATTR_REF.findall(doc.read_text()):
+            if name in exported and not _has_attribute(exported[name], attr):
+                failures.append(
+                    f"{doc.relative_to(REPO_ROOT)}: `{name}.{attr}` names "
+                    f"no attribute of {name}")
+    return failures
+
+
 def main() -> int:
-    failures = render_api_docs() + check_public_docstrings() + check_links()
+    failures = (render_api_docs() + check_public_docstrings()
+                + check_links() + check_attribute_refs())
     if failures:
         print("\nDOCS CHECK FAILED:")
         for failure in failures:
             print(f"  - {failure}")
         return 1
     print("\ndocs check ok: serving and privacy APIs render with full "
-          "docstring coverage; all relative links in README.md and docs/ "
-          "resolve")
+          "docstring coverage; all relative links and API attribute "
+          "references in README.md and docs/ resolve")
     return 0
 
 

@@ -111,19 +111,6 @@ class Server:
             self._stacked_stale = False
         return self
 
-    @property
-    def padding_safe(self) -> bool:
-        """Whether the fused engine tolerates speculative canvas padding.
-
-        True only for spatially-pointwise body trees (see
-        :func:`repro.nn.batched.padding_safe`): zero-padding the input
-        canvas then cropping the output is then exact.  Looped or
-        train-mode servers always report False.
-        """
-        return (self._stacked is not None
-                and not any(body.training for body in self.bodies)
-                and self._stacked.padding_safe())
-
     def _subset_engine(self, k: int) -> StackedBodies | None:
         """The fused engine over ``bodies[:k]``, built lazily (or ``None``
         when the prefix cannot be stacked and must run the loop)."""

@@ -171,10 +171,6 @@ class StackedBasicBlock(batched.StackedModule):
     :class:`BasicBlock`, with the shortcut broadcasting over the ensemble
     axis when the input is still shared)."""
 
-    #: residual add + relu are spatially pointwise, so padding safety
-    #: (speculative canvas batching) delegates to the children.
-    pointwise_composite = True
-
     def __init__(self, blocks: list[BasicBlock]):
         super().__init__()
         self.num_stacked = len(blocks)

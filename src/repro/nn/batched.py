@@ -973,49 +973,6 @@ def find_fold_pairs(module: Module) -> "list[tuple[StackedConv2d, StackedBatchNo
     return pairs
 
 
-#: stacked leaves that are pointwise in every coordinate (value may depend
-#: on the element only), hence trivially safe under spatial padding.
-_POINTWISE_LEAVES = (StackedReLU, StackedSigmoid, StackedTanh, StackedIdentity)
-
-
-def padding_safe(module: Module) -> bool:
-    """True iff zero-padding the spatial border cannot perturb the output
-    on the unpadded extent.
-
-    This is the precondition for speculative canvas batching: requests of
-    mixed spatial sizes may share one padded canvas pass — each output
-    cropped back to its own extent — only when every op in the tree is
-    *spatially pointwise*: activations, eval-mode batch norm (per-channel
-    affine), and 1x1 / stride-1 / pad-0 convolutions.  Anything with a
-    spatial receptive field (wider kernels, pooling) lets border garbage
-    contaminate the interior, so it is reported unsafe and the service
-    falls back to one exact sub-pass per coalesce key.
-
-    Composites participate by setting ``pointwise_composite = True`` on
-    their class, asserting their ``forward`` combines children with
-    pointwise arithmetic only (residual adds, activations).
-    """
-    if isinstance(module, StackedBatchNorm2d):
-        # Eval BN is a per-channel affine map; train-mode BN reduces over
-        # the spatial axes (padding would shift the batch statistics), and
-        # a stat-recording BN must observe its true input extent.
-        return not module.training and not module.record_batch_stats
-    if isinstance(module, StackedConv2d):
-        kh, kw = int(module.weight.shape[3]), int(module.weight.shape[4])
-        return (kh == 1 and kw == 1 and module.stride == 1
-                and module.padding == 0)
-    if isinstance(module, _POINTWISE_LEAVES):
-        return True
-    if module._modules and getattr(module, "pointwise_composite", False):
-        return all(padding_safe(child) for child in module._modules.values())
-    return False
-
-
-# StackedSequential composes its children in sequence with no spatial
-# arithmetic of its own, so it is padding-safe iff its children are.
-StackedSequential.pointwise_composite = True
-
-
 # ----------------------------------------------------------------------
 # StackedBodies — the server's fused N-body pass
 # ----------------------------------------------------------------------
@@ -1056,9 +1013,6 @@ class StackedBodies(StackedModule):
     Folded outputs match unfolded outputs to float32 rounding (≪ 1e-5);
     the differential parity suite pins this down.
     """
-
-    #: forward only composes the stacked tree (padding safety delegates).
-    pointwise_composite = True
 
     def __init__(self, bodies: list[Module], fold_bn: bool = True):
         super().__init__()
@@ -1103,10 +1057,6 @@ class StackedBodies(StackedModule):
     def folded(self) -> bool:
         """True while conv←BN pairs are folded (eval mode, ``fold_bn``)."""
         return self._folded
-
-    def padding_safe(self) -> bool:
-        """Whether the compiled tree admits speculative canvas batching."""
-        return padding_safe(self.stacked)
 
     # -- fold state machine ---------------------------------------------
 

@@ -33,17 +33,6 @@ names:
 All schedulers preserve the coalescing invariant: a group shares one
 ``coalesce_key`` (per-sample shape + dtype), so the service can stack it
 along the batch axis into one fused pass.
-
-Speculative group formation (:meth:`Scheduler.next_group_speculative`)
-relaxes that invariant for services that opt in
-(``ServingConfig.speculative``): requests whose per-sample *spatial*
-sizes differ — but whose dtype, rank and channel count agree
-(:func:`speculative_compatible`) — may ride one group, and the service
-reconciles the mix (zero-pad to a common canvas when the engine is
-provably padding-safe, exact per-key sub-passes otherwise) instead of
-splitting the tick.  The base implementation falls back to the exact-key
-policy, so only policies that explicitly override it ever form mixed
-groups.
 """
 
 from __future__ import annotations
@@ -61,23 +50,6 @@ from repro.serving.protocol import UploadRequest
 #: constructor takes no required arguments — by name.  Builtin names are
 #: never overridden.
 SCHEDULERS: dict[str, type["Scheduler"]] = {}
-
-
-def speculative_compatible(leader: UploadRequest,
-                           candidate: UploadRequest) -> bool:
-    """Whether ``candidate`` may ride a speculative group led by ``leader``.
-
-    Exact coalesce-key matches always qualify.  Beyond that, 4-D feature
-    maps qualify when dtype and channel count agree — only the spatial
-    size may differ, which the service reconciles by canvas padding or
-    per-key sub-passes.  Rank or dtype mismatches never mix: there is no
-    cheap reconciliation for them.
-    """
-    if candidate.coalesce_key == leader.coalesce_key:
-        return True
-    a, b = leader.features, candidate.features
-    return (a.ndim == 4 and b.ndim == 4 and a.dtype == b.dtype
-            and a.shape[1] == b.shape[1])
 
 
 class Scheduler:
@@ -123,20 +95,6 @@ class Scheduler:
             the queue; an empty list when nothing is pending.
         """
         raise NotImplementedError
-
-    def next_group_speculative(self, max_batch: int,
-                               now: float = 0.0) -> list[UploadRequest]:
-        """Pop the next group, allowing mixed spatial sizes.
-
-        Called instead of :meth:`next_group` by services running with
-        ``ServingConfig.speculative``.  A returned group may span several
-        coalesce keys as long as every member is
-        :func:`speculative_compatible` with the group's leader; the
-        service reconciles the mix within one tick.  The default simply
-        delegates to the exact-key :meth:`next_group`, so policies that
-        never override this are unaffected by the flag.
-        """
-        return self.next_group(max_batch, now=now)
 
     def cancel_session(self, session_id: int) -> list[UploadRequest]:
         """Drop a closed tenant's queued requests; returns them.
@@ -207,21 +165,6 @@ class FifoScheduler(Scheduler):
         key = group[0].coalesce_key
         while self._queue and len(group) < max_batch:
             if self._queue[0].coalesce_key != key:
-                break
-            group.append(self._queue.popleft())
-        return group
-
-    def next_group_speculative(self, max_batch: int,
-                               now: float = 0.0) -> list[UploadRequest]:
-        """The longest FIFO prefix of *compatible* requests: mixed spatial
-        sizes ride together (same dtype / rank / channels), so a client
-        alternating crop sizes no longer splits every tick in two."""
-        if not self._queue:
-            return []
-        group = [self._queue.popleft()]
-        leader = group[0]
-        while self._queue and len(group) < max_batch:
-            if not speculative_compatible(leader, self._queue[0]):
                 break
             group.append(self._queue.popleft())
         return group

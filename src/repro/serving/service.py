@@ -239,11 +239,7 @@ class ServingConfig:
     ``np.concatenate``-ing fresh memory, and :meth:`InferenceService.\
 submit_bytes` decodes wire frames zero-copy.  Served bytes are
     bit-identical with the flag off — the differential wire-equivalence
-    suite pins this.  ``speculative`` additionally lets the scheduler
-    form mixed-spatial groups (see
-    :meth:`~repro.serving.scheduler.Scheduler.next_group_speculative`)
-    which the service reconciles in one tick by canvas padding
-    (padding-safe engines) or per-key sub-passes.
+    suite pins this.
     """
 
     max_batch: int = 8   # group-size cap (ignored by the deadline policy)
@@ -254,7 +250,6 @@ submit_bytes` decodes wire frames zero-copy.  Served bytes are
     shed_expired: bool = False  # shed explicit-deadline requests pre-schedule
     tick_retries: int = 1  # crashed-pass re-queues before a request FAILs
     fast_path: bool = True   # arena buffer reuse + zero-copy decode
-    speculative: bool = False  # mixed-spatial group formation
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -311,7 +306,6 @@ class ServiceStats:
     privacy_refusals: int = 0    # submits/serves refused past exhaustion
     privacy_exhausted_sessions: int = 0  # sessions closed by a spent budget
     selector_rotations: int = 0  # switching-ensemble subset re-draws
-    speculative_merges: int = 0  # mixed-spatial groups served in one tick
 
     @property
     def mean_coalesced(self) -> float:
@@ -373,8 +367,7 @@ class InferenceService:
                  overload: "OverloadController | OverloadPolicy | None" = None,
                  shed_expired: bool = False,
                  tick_retries: int = 1,
-                 fast_path: bool = True,
-                 speculative: bool = False):
+                 fast_path: bool = True):
         if not isinstance(server, Server):
             server = Server(list(server))
         self.scheduler = make_scheduler(scheduler)
@@ -384,8 +377,7 @@ class InferenceService:
                                     rate_limit=RateLimit.parse(rate_limit),
                                     shed_expired=shed_expired,
                                     tick_retries=tick_retries,
-                                    fast_path=fast_path,
-                                    speculative=speculative)
+                                    fast_path=fast_path)
         self.server = server
         #: the per-service scratch arena (``None`` with the fast path
         #: off): im2col / pad / staging buffers persist across ticks.
@@ -419,8 +411,7 @@ class InferenceService:
                    faults=faults, overload=overload,
                    shed_expired=config.shed_expired,
                    tick_retries=config.tick_retries,
-                   fast_path=config.fast_path,
-                   speculative=config.speculative)
+                   fast_path=config.fast_path)
 
     # -- session management ---------------------------------------------
 
@@ -445,8 +436,6 @@ class InferenceService:
         controller smooth and threshold (see
         :mod:`repro.serving.autoscale`).
         """
-        if self.config.max_queue <= 0:
-            return 0.0
         return min(1.0, self.scheduler.pending / self.config.max_queue)
 
     def open_session(self, head, tail, *, selector=None, noise=None,
@@ -738,12 +727,7 @@ class InferenceService:
                 self.scheduler.pending, self.config.max_queue)
             self.stats.overload_escalations = self.overload.escalations
             self.stats.overload_recoveries = self.overload.recoveries
-        if self.config.speculative:
-            group = self.scheduler.next_group_speculative(
-                self.config.max_batch, now=self.now)
-        else:
-            group = self.scheduler.next_group(self.config.max_batch,
-                                              now=self.now)
+        group = self.scheduler.next_group(self.config.max_batch, now=self.now)
         if not group:
             return []
         tick_index = self._tick_attempts
@@ -764,13 +748,13 @@ class InferenceService:
         per_request = None
         if self.faults is None or not self.faults.tick_fails(tick_index):
             try:
-                per_request = self._compute_group(group, num_bodies)
+                per_request = self._split_outputs(
+                    self._server_pass(self._stage_batch(group), num_bodies),
+                    group)
             except Exception:
                 per_request = None  # a real mid-pass crash: same recovery path
         if per_request is None:
             return self._fail_tick(group)
-        if len({r.coalesce_key for r in group}) > 1:
-            self.stats.speculative_merges += 1
         degraded_pass = num_bodies < total
         if degraded_pass:
             # The client's selector needs all N positions: alias the maps
@@ -874,83 +858,6 @@ class InferenceService:
             per_request.append([np.ascontiguousarray(out[offset:offset + n])
                                 for out in outputs])
             offset += n
-        return per_request
-
-    def _compute_group(self, group: list[UploadRequest],
-                       num_bodies: int) -> list[list[np.ndarray]]:
-        """Serve one (possibly mixed-spatial) group; per-request outputs.
-
-        Shape-homogeneous groups run the classic single stacked pass.  A
-        speculative mixed group is reconciled inside this one tick:
-        zero-padded onto a common canvas and cropped back when the
-        engine is provably padding-safe (spatially-pointwise tree),
-        otherwise as one exact sub-pass per coalesce key.  Either way a
-        crash anywhere fails the *whole* group through the caller's
-        ``_fail_tick`` recovery.
-        """
-        if len({r.coalesce_key for r in group}) == 1:
-            outputs = self._server_pass(self._stage_batch(group), num_bodies)
-            return self._split_outputs(outputs, group)
-        if (self.server.padding_safe
-                and all(r.features.ndim == 4 for r in group)):
-            return self._canvas_pass(group, num_bodies)
-        return self._keyed_subpasses(group, num_bodies)
-
-    def _canvas_pass(self, group: list[UploadRequest],
-                     num_bodies: int) -> list[list[np.ndarray]]:
-        """Mixed spatial sizes on one zero-padded canvas, cropped back.
-
-        Exact only for padding-safe engines: each request sits in the
-        top-left corner of a ``(max_h, max_w)`` canvas whose margins are
-        zero, and each output map is cropped back to the request's own
-        spatial size — a spatially-pointwise tree never mixes margin
-        into the cropped region.
-        """
-        feats = [r.features for r in group]
-        channels = feats[0].shape[1]
-        height = max(f.shape[2] for f in feats)
-        width = max(f.shape[3] for f in feats)
-        total = sum(f.shape[0] for f in feats)
-        shape = (total, channels, height, width)
-        if self.arena is not None:
-            canvas = self.arena.take_named("uplink_canvas", shape,
-                                           feats[0].dtype)
-            canvas.fill(0)  # margins must be zeros, not last tick's bytes
-        else:
-            canvas = np.zeros(shape, dtype=feats[0].dtype)
-        offset = 0
-        for feat in feats:
-            n, _, h, w = feat.shape
-            canvas[offset:offset + n, :, :h, :w] = feat
-            offset += n
-        outputs = self._server_pass(canvas, num_bodies)
-        per_request = []
-        offset = 0
-        for request in group:
-            n, _, h, w = request.features.shape
-            outs = []
-            for out in outputs:
-                sliced = out[offset:offset + n]
-                if sliced.ndim == 4 and sliced.shape[2:] == (height, width):
-                    sliced = sliced[:, :, :h, :w]
-                outs.append(np.ascontiguousarray(sliced))
-            per_request.append(outs)
-            offset += n
-        return per_request
-
-    def _keyed_subpasses(self, group: list[UploadRequest],
-                         num_bodies: int) -> list[list[np.ndarray]]:
-        """Mixed group on a padding-unsafe engine: one exact stacked pass
-        per coalesce key, results re-interleaved into group order."""
-        buckets: dict[tuple, list[int]] = {}
-        for index, request in enumerate(group):
-            buckets.setdefault(request.coalesce_key, []).append(index)
-        per_request: list[list[np.ndarray] | None] = [None] * len(group)
-        for indices in buckets.values():
-            sub = [group[i] for i in indices]
-            outputs = self._server_pass(self._stage_batch(sub), num_bodies)
-            for outs, i in zip(self._split_outputs(outputs, sub), indices):
-                per_request[i] = outs
         return per_request
 
     def _fail_tick(self, group: list[UploadRequest]) -> list[FeatureResponse]:

@@ -1,4 +1,4 @@
-"""Differential tests for the serving tensor arena and speculative groups.
+"""Differential tests for the serving tensor arena.
 
 The :class:`repro.nn.arena.TensorArena` lends *scratch* buffers (im2col
 columns, pad canvases, the uplink staging buffer) to fused serving
@@ -10,10 +10,7 @@ change can never serve a stale view — is enforced here adversarially:
   outputs must stay byte-identical to the no-arena reference (a single
   leaked arena element would surface as NaN);
 * **invalidation** — alternate coalesce keys across ticks; every slot
-  re-allocates on mismatch and still serves reference outputs;
-* **speculative groups** — mixed-spatial requests served in one tick
-  (canvas pad/crop on padding-safe engines, per-key sub-passes
-  otherwise) must match per-request reference serving exactly.
+  re-allocates on mismatch and still serves reference outputs.
 """
 
 import numpy as np
@@ -23,7 +20,6 @@ from repro import nn
 from repro.ci.pipeline import Client, Server
 from repro.nn.arena import TensorArena, active_arena, use_arena
 from repro.nn.tensor import Tensor, no_grad
-from repro.serving.scheduler import speculative_compatible
 from repro.serving.service import InferenceService
 from repro.utils.rng import new_rng
 
@@ -104,29 +100,13 @@ class TestTensorArenaUnit:
 
 
 def make_resnet_bodies(num_nets: int = 3) -> list[nn.Module]:
-    """3x3-conv bodies: NOT padding-safe (spatial receptive field)."""
+    """Small 3x3-conv bodies with batch norm, evaluated in eval mode."""
     bodies = []
     for i in range(num_nets):
         rng = new_rng(80 + i)
         body = nn.Sequential(
             nn.Conv2d(3, 6, 3, padding=1, rng=rng), nn.BatchNorm2d(6),
             nn.ReLU(), nn.Conv2d(6, 6, 3, padding=1, rng=rng), nn.ReLU())
-        body.train()
-        with no_grad():
-            body(Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32)))
-        body.eval()
-        bodies.append(body)
-    return bodies
-
-
-def make_pointwise_bodies(num_nets: int = 3) -> list[nn.Module]:
-    """1x1-conv bodies: padding-safe, eligible for canvas batching."""
-    bodies = []
-    for i in range(num_nets):
-        rng = new_rng(90 + i)
-        body = nn.Sequential(
-            nn.Conv2d(3, 5, 1, rng=rng), nn.BatchNorm2d(5), nn.ReLU(),
-            nn.Conv2d(5, 5, 1, rng=rng), nn.Sigmoid())
         body.train()
         with no_grad():
             body(Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32)))
@@ -235,57 +215,3 @@ class TestArenaServiceIntegration:
             for a, b in zip(sess.result(rid), ref_maps):
                 np.testing.assert_array_equal(a, b)
 
-
-class TestSpeculativeGroups:
-    def test_speculative_compatible_predicate(self):
-        from repro.serving.protocol import UploadRequest
-
-        a = UploadRequest(1, 0, np.zeros((2, 3, 6, 6), dtype=np.float32))
-        b = UploadRequest(1, 1, np.zeros((1, 3, 8, 8), dtype=np.float32))
-        c = UploadRequest(1, 2, np.zeros((1, 4, 8, 8), dtype=np.float32))
-        d = UploadRequest(1, 3, np.zeros((1, 3, 8, 8), dtype=np.float64))
-        assert speculative_compatible(a, b)       # spatial sizes may differ
-        assert not speculative_compatible(a, c)   # channels must match
-        assert not speculative_compatible(a, d)   # dtype must match
-
-    def _mixed_spatial_case(self, make_bodies, expect_canvas):
-        feats = [np.random.default_rng(18 + i).standard_normal(shape)
-                 .astype(np.float32)
-                 for i, shape in enumerate([(2, 3, 6, 6), (1, 3, 8, 8),
-                                            (2, 3, 4, 4)])]
-        reference = serve_reference(make_bodies, feats)
-        service = InferenceService(Server(make_bodies(), fold_bn=False),
-                                   fast_path=True, speculative=True,
-                                   max_batch=8)
-        assert service.server.padding_safe is expect_canvas
-        sessions = [service.adopt_session(Client(nn.Identity(),
-                                                 nn.Identity()))
-                    for _ in feats]
-        ids = [s.submit_features(f) for s, f in zip(sessions, feats)]
-        service.tick()
-        assert service.stats.ticks == 1  # ONE tick served all three shapes
-        assert service.stats.speculative_merges == 1
-        for sess, rid, ref_maps in zip(sessions, ids, reference):
-            for a, b in zip(sess.result(rid), ref_maps):
-                np.testing.assert_array_equal(a, b)
-
-    def test_canvas_pass_on_padding_safe_engine(self):
-        """Pointwise engines pad onto one canvas and crop back, exactly."""
-        self._mixed_spatial_case(make_pointwise_bodies, expect_canvas=True)
-
-    def test_subpasses_on_padding_unsafe_engine(self):
-        """3x3 engines fall back to one exact sub-pass per coalesce key."""
-        self._mixed_spatial_case(make_resnet_bodies, expect_canvas=False)
-
-    def test_homogeneous_groups_never_count_as_merges(self):
-        service = InferenceService(Server(make_pointwise_bodies(),
-                                          fold_bn=False),
-                                   fast_path=True, speculative=True)
-        session = service.adopt_session(Client(nn.Identity(), nn.Identity()))
-        f = np.random.default_rng(19).standard_normal(
-            (2, 3, 6, 6)).astype(np.float32)
-        session.submit_features(f)
-        session.submit_features(f)
-        service.tick()
-        assert service.stats.ticks == 1
-        assert service.stats.speculative_merges == 0

@@ -1,15 +1,19 @@
 """Tests for the pluggable Scheduler API (fifo / fair-share / deadline)."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ci import Channel, EnsembleCIPipeline, Server
 from repro.ci.pipeline import Client
 from repro.core.selector import Selector
 from repro.models.resnet import ResNet, ResNetConfig, ResNetHead, ResNetTail
 from repro.serving import (
+    SCHEDULERS,
     DeadlineScheduler,
     FairShareScheduler,
     FifoScheduler,
@@ -370,3 +374,80 @@ class TestSchedulerEquivalenceAcrossPolicies:
             pipeline = EnsembleCIPipeline(session.client, reference, Channel())
             np.testing.assert_allclose(session.result(rid),
                                        pipeline.infer(batch), atol=1e-5)
+
+
+#: every registered policy name, aliases included (snapshot at import, so
+#: schedulers registered by other tests never leak in).
+POLICY_NAMES = sorted(SCHEDULERS)
+FEATURE_SHAPES = [(4, 2, 2), (4, 3, 3), (2, 2, 2)]
+
+scheduler_ops = st.lists(st.one_of(
+    st.tuples(st.just("enqueue"), st.integers(0, 3),
+              st.integers(0, len(FEATURE_SHAPES) - 1), st.integers(1, 3),
+              st.one_of(st.none(), st.floats(0.0, 1.0))),
+    st.tuples(st.just("next_group"), st.floats(0.0, 0.5), st.integers(1, 4)),
+    st.tuples(st.just("cancel"), st.integers(0, 3)),
+    st.tuples(st.just("expire"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("weight"), st.integers(0, 3),
+              st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+), max_size=60)
+
+
+class TestGroupContract:
+    """The one contract every policy keeps, under random operation mixes:
+    a group shares one coalesce key, is non-empty while work is pending,
+    ``pending`` counts exactly the live requests, and every request
+    leaves exactly once — through a group, a cancel or an expiry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(POLICY_NAMES), ops=scheduler_ops)
+    def test_groups_are_homogeneous_and_requests_leave_once(self, name, ops):
+        scheduler = make_scheduler(name)
+        live: dict[int, UploadRequest] = {}
+        request_ids = itertools.count()
+        now = 0.0
+
+        def leave(requests):
+            for r in requests:
+                assert r.request_id in live, "left twice or never queued"
+                del live[r.request_id]
+
+        for op in ops:
+            kind = op[0]
+            if kind == "enqueue":
+                _, session, shape, batch, deadline = op
+                rid = next(request_ids)
+                features = np.zeros((batch, *FEATURE_SHAPES[shape]),
+                                    dtype=np.float32)
+                req = UploadRequest(session, rid, features, arrival_time=now,
+                                    deadline=deadline)
+                live[rid] = req
+                scheduler.enqueue(req)
+            elif kind == "next_group":
+                now += op[1]  # the virtual clock only moves forward
+                had_work = scheduler.pending > 0
+                group = scheduler.next_group(op[2], now=now)
+                assert bool(group) == had_work
+                assert len({r.coalesce_key for r in group}) <= 1
+                leave(group)
+            elif kind == "cancel":
+                cancelled = scheduler.cancel_session(op[1])
+                assert all(r.session_id == op[1] for r in cancelled)
+                leave(cancelled)
+            elif kind == "expire":
+                now += op[1]
+                expired = scheduler.drop_expired(now)
+                assert all(r.deadline is not None and r.deadline < now
+                           for r in expired)
+                leave(expired)
+            else:
+                scheduler.set_session_weight(op[1], op[2])
+            assert scheduler.pending == len(live)
+
+        # Drain: every remaining request still leaves through a group.
+        while live:
+            group = scheduler.next_group(4, now=now)
+            assert group and len({r.coalesce_key for r in group}) == 1
+            leave(group)
+        assert scheduler.pending == 0
+        assert scheduler.next_group(4, now=now) == []
