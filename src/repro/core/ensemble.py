@@ -5,35 +5,18 @@ client's view (only the P selected bodies matter); ``server_outputs`` follows
 the server's view (all N bodies run, because the server cannot know which
 ones are active).
 
-Execution backends
-------------------
-The bodies can run on two interchangeable backends:
-
-* ``"batched"`` (default) — the N bodies are compiled once into a
-  :class:`~repro.nn.batched.StackedBodies` and every query runs as a single
-  fused NumPy pass (one im2col + one wide matmul per layer), which is what
-  makes the "run all N so the selection stays secret" protocol affordable.
-  Construction falls back to looped automatically when the bodies are
-  architecturally heterogeneous (:class:`~repro.nn.batched.UnstackableError`).
-* ``"looped"`` — a Python loop over the N independent graphs; always
-  available and used as the reference implementation in tests.
-
-The stacked engine holds a *copy* of the bodies' parameters (kept out of
-``state_dict`` so checkpoints stay loop-compatible); :meth:`EnsemblerModel.sync_stacked`
-refreshes it and is called automatically by :meth:`load_state_dict`.  In
-train mode every forward runs looped so BatchNorm running statistics update
-in the bodies themselves — the mirror is refreshed when the model returns
-to eval mode.
+The model evaluates its bodies one by one: it is the per-body reference
+pipeline that training returns and tests compare against.  Deployments run
+the bodies as one fused stacked pass instead — the
+:class:`~repro.ci.pipeline.Server` over all N, and
+:class:`~repro.defenses.base.FittedDefense` over the P selected ones — both
+built from these bodies, so the model keeps no stacked copy of its weights.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import nn
-from repro.core.noise import FixedGaussianNoise
 from repro.core.selector import Selector
-from repro.nn.batched import StackedBodies, unbind
 from repro.nn.tensor import Tensor
 
 
@@ -51,17 +34,11 @@ class EnsemblerModel(nn.Module):
         The stage-2 secret selector.
     noise:
         The stage-3 fixed Gaussian noise added to the head output.
-    backend:
-        ``"batched"`` fuses the N bodies into one stacked pass (falling back
-        to looped for heterogeneous bodies); ``"looped"`` always evaluates
-        them one by one.
     """
 
     def __init__(self, head: nn.Module, bodies: list[nn.Module], tail: nn.Module,
-                 selector: Selector, noise: nn.Module, backend: str = "batched"):
+                 selector: Selector, noise: nn.Module):
         super().__init__()
-        if backend not in ("batched", "looped"):
-            raise ValueError("backend must be 'batched' or 'looped'")
         if len(bodies) != selector.num_nets:
             raise ValueError("selector arity must match the number of bodies")
         self.head = head
@@ -69,91 +46,24 @@ class EnsemblerModel(nn.Module):
         self.tail = tail
         self.noise = noise
         self.selector = selector  # plain attribute: not a module, has no weights
-        # The stacked engine is deliberately NOT registered as a submodule:
-        # its parameters are a mirror of ``bodies``, and registering it would
-        # double-count them in state_dict()/parameters().
-        self.backend = "looped"
-        object.__setattr__(self, "_stacked", None)
-        object.__setattr__(self, "_stacked_active", None)
-        if backend == "batched":
-            stacked = StackedBodies.try_build(list(bodies))
-            if stacked is not None:
-                active = StackedBodies([bodies[i] for i in selector.indices])
-                object.__setattr__(self, "_stacked", stacked)
-                object.__setattr__(self, "_stacked_active", active)
-                self.backend = "batched"
-                self._match_stacked_mode()
 
     @property
     def num_nets(self) -> int:
         return len(self.bodies)
-
-    # -- backend maintenance -------------------------------------------
-    def _match_stacked_mode(self) -> None:
-        if self._stacked is None:
-            return
-        mode = next(iter(self.bodies)).training if len(self.bodies) else False
-        self._stacked.train(mode)
-        self._stacked_active.train(mode)
-
-    def sync_stacked(self) -> "EnsemblerModel":
-        """Refresh the stacked engine from the (possibly mutated) bodies."""
-        if self._stacked is not None:
-            bodies = list(self.bodies)
-            self._stacked.sync_from(bodies)
-            self._stacked_active.sync_from([bodies[i] for i in self.selector.indices])
-            self._match_stacked_mode()
-        return self
-
-    def train(self, mode: bool = True) -> "EnsemblerModel":
-        super().train(mode)
-        if self._stacked is not None:
-            self._stacked.train(mode)
-            self._stacked_active.train(mode)
-            if not mode:
-                # Train-mode forwards ran looped and may have updated the
-                # bodies' BN running stats; refresh the mirror before the
-                # batched path serves eval queries again.
-                self.sync_stacked()
-        return self
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        super().load_state_dict(state)
-        self.sync_stacked()
 
     # -- inference ------------------------------------------------------
     def intermediate(self, x: Tensor) -> Tensor:
         """What the client uploads: ``M_c,h(x) + N(0, σ)``."""
         return self.noise(self.head(x))
 
-    def server_outputs(self, features: Tensor, backend: str | None = None) -> list[Tensor]:
-        """The server's honest computation: every body, in index order.
-
-        With the batched backend all N bodies run as one fused pass and the
-        result is unbound into the per-body list the protocol transmits.
-        """
-        use = self.backend if backend is None else backend
-        if use == "batched" and self._stacked is not None and not self.training:
-            return unbind(self._stacked(features))
-        # Looped path — also taken in train mode, so that BatchNorm running
-        # statistics update in the bodies themselves (the source of truth)
-        # rather than in the stacked mirror.
+    def server_outputs(self, features: Tensor) -> list[Tensor]:
+        """The server's honest computation: every body, in index order."""
         return [body(features) for body in self.bodies]
-
-    def server_outputs_stacked(self, features: Tensor) -> Tensor:
-        """All N body outputs as one ``(N_bodies, batch, ...)`` tensor."""
-        if self._stacked is not None and not self.training:
-            return self._stacked(features)
-        return nn.stack([body(features) for body in self.bodies])
 
     def forward(self, x: Tensor) -> Tensor:
         """Client-perspective forward: only the selected bodies are evaluated."""
         features = self.intermediate(x)
-        if (self.backend == "batched" and self._stacked_active is not None
-                and not self.training):
-            selected = unbind(self._stacked_active(features))
-        else:
-            selected = [self.bodies[i](features) for i in self.selector.indices]
+        selected = [self.bodies[i](features) for i in self.selector.indices]
         return self.tail(self.selector.apply_subset(selected))
 
     def forward_full_protocol(self, x: Tensor) -> Tensor:

@@ -107,7 +107,6 @@ class EnsemblerConfig(FrozenConfig):
     regularizer: str = "standardized_cosine"
     stage1: TrainingConfig = TrainingConfig()
     stage3: TrainingConfig = TrainingConfig()
-    backend: str = "batched"
 
     def __post_init__(self):
         if not 1 <= self.num_active <= self.num_nets:
@@ -118,8 +117,6 @@ class EnsemblerConfig(FrozenConfig):
             raise ValueError("lambda_reg must be non-negative")
         if self.regularizer not in ("cosine", "standardized_cosine"):
             raise ValueError("regularizer must be 'cosine' or 'standardized_cosine'")
-        if self.backend not in ("batched", "looped"):
-            raise ValueError("backend must be 'batched' or 'looped'")
 
 
 def run_sgd(
@@ -281,14 +278,14 @@ class EnsemblerTrainer:
                                                            list[list[float]]]:
         """Train the N distinct networks of Eq. 2.
 
-        With the batched backend the N independent trainings run as one
+        When the N nets stack, the N independent trainings run as one
         fused multi-net pass (:func:`run_stacked_sgd`): the N parameter sets
         stack along the ensemble axis, each net keeps its own batch-shuffle
         stream, loss and optimiser state, and one elementwise update per
         step advances all N.  The RNG spawn order (net init, noise map, SGD
-        stream, per net) matches the looped path exactly, so both backends
+        stream, per net) matches the per-net loop exactly, so both paths
         consume identical random streams; ensembles that cannot be stacked
-        (e.g. DR-N's dropout noise) fall back to the per-net loop.
+        (e.g. DR-N's dropout noise) fall back to that loop.
         """
         nets: list[ResNet] = []
         noises: list[nn.Module] = []
@@ -302,7 +299,7 @@ class EnsemblerTrainer:
             noises.append(noise)
             sgd_rngs.append(spawn_rng(self.rng))
         histories = None
-        if self.config.backend == "batched" and len(nets) > 1:
+        if len(nets) > 1:
             histories = self._train_stage1_fused(nets, noises, dataset, sgd_rngs)
         if histories is None:
             histories = []
@@ -354,7 +351,7 @@ class EnsemblerTrainer:
                             dataset: ArrayDataset) -> None:
         """Close the stage-1 BN train/eval gap for all N nets.
 
-        With the batched backend the N per-net replays collapse into one
+        When the nets stack, the N per-net replays collapse into one
         fused :func:`~repro.nn.batched.stack_modules` pass (the N nets are
         architecturally identical by construction); the recalibrated running
         statistics are written back into the loop-format nets, so downstream
@@ -362,7 +359,7 @@ class EnsemblerTrainer:
         nets or their noise modules cannot be stacked (e.g. DR-N's dropout).
         """
         batch_size = self.config.stage1.batch_size
-        if self.config.backend == "batched" and len(nets) > 1:
+        if len(nets) > 1:
             try:
                 stacked_nets = stack_modules(nets)
                 stacked_noise = stack_modules(noises)
@@ -416,11 +413,11 @@ class EnsemblerTrainer:
         head.train()
         tail.train()
 
-        # Batched backend: evaluate the P frozen bodies as one fused pass per
-        # batch.  Their parameters are frozen, so gradients only flow through
+        # Evaluate the P frozen bodies as one fused pass per batch when they
+        # stack.  Their parameters are frozen, so gradients only flow through
         # the batched ops back into the new head — exactly as in the loop.
         stacked_selected = None
-        if config.backend == "batched" and len(selected_bodies) > 1:
+        if len(selected_bodies) > 1:
             stacked_selected = StackedBodies.try_build(selected_bodies, eval_mode=True)
 
         standardize = config.regularizer == "standardized_cosine"
@@ -471,8 +468,7 @@ class EnsemblerTrainer:
         head.eval()
         tail.eval()
         logger.info("stage3 final loss %.4f", history[-1])
-        model = EnsemblerModel(head, bodies, tail, selector, noise,
-                               backend=config.backend)
+        model = EnsemblerModel(head, bodies, tail, selector, noise)
         return model, history
 
     # -- full pipeline -----------------------------------------------------

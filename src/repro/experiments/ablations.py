@@ -55,8 +55,7 @@ def _evaluate_point(label, bundle, spec, config, preset, rng) -> AblationPoint:
     traffic = bundle.train.images[:preset.traffic_size]
     attack = InversionAttack(spec.model_config, bundle.image_shape, bundle.train,
                              preset.attack, rng=spawn_rng(rng))
-    singles = run_single_net_attacks(defense, attack, probe, traffic_images=traffic,
-                                     backend=preset.attack_backend)
+    singles = run_single_net_attacks(defense, attack, probe, traffic_images=traffic)
     adaptive = run_adaptive_attack(defense, attack, probe)
     best_ssim = best_single_net(singles, "ssim")
     best_psnr = best_single_net(singles, "psnr")

@@ -51,10 +51,6 @@ class ExperimentPreset:
     attack: AttackConfig
     probe_size: int
     traffic_size: int
-    # Ensemble execution backend: "batched" fuses the N server bodies into
-    # one stacked NumPy pass (the default serving path); "looped" keeps the
-    # reference per-body Python loop.
-    backend: str = "batched"
     # Multi-tenant scheduler shape: how many concurrent client uploads one
     # InferenceService tick coalesces, and the backpressure bound.
     serving: ServingConfig = ServingConfig()
@@ -65,18 +61,12 @@ class ExperimentPreset:
                 return spec
         raise KeyError(f"preset '{self.name}' has no dataset '{key}'")
 
-    @property
-    def attack_backend(self) -> str:
-        """The matching multi-attack backend: fused sweeps iff the ensemble
-        execution is batched, so one switch flips the whole experiment."""
-        return "fused" if self.backend == "batched" else "looped"
-
     def inference_service(self, server_or_bodies, *, scheduler: str | None = None,
                           codec: str | None = None, rate_limit=None):
         """Build the preset-shaped multi-tenant serving front-end.
 
         Accepts a configured :class:`~repro.ci.pipeline.Server` or a plain
-        body list (wrapped with this preset's execution backend), and
+        body list (wrapped in a :class:`Server`, which stacks them), and
         applies the preset's :class:`ServingConfig` scheduler shape.
         ``scheduler`` / ``codec`` / ``rate_limit`` override the preset's
         policy without rebuilding the config (e.g. ``scheduler="weighted"``
@@ -90,7 +80,7 @@ class ExperimentPreset:
         from repro.serving.service import InferenceService, RateLimit
 
         if not isinstance(server_or_bodies, Server):
-            server_or_bodies = Server(list(server_or_bodies), backend=self.backend)
+            server_or_bodies = Server(list(server_or_bodies))
         config = self.serving
         overrides = {k: v for k, v in
                      (("scheduler", scheduler), ("codec", codec),
@@ -108,7 +98,6 @@ class ExperimentPreset:
             lambda_reg=self.lambda_reg,
             stage1=self.train,
             stage3=self.stage3,
-            backend=self.backend,
         )
 
 

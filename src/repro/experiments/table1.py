@@ -93,8 +93,7 @@ def run_dataset(spec: DatasetSpec, preset: ExperimentPreset,
     single_acc = single.accuracy(bundle.test)
     attack = InversionAttack(spec.model_config, bundle.image_shape, bundle.train,
                              preset.attack, rng=spawn_rng(rng))
-    single_results = run_single_net_attacks(single, attack, probe, traffic_images=traffic,
-                                            backend=preset.attack_backend)
+    single_results = run_single_net_attacks(single, attack, probe, traffic_images=traffic)
     single_best = best_single_net(single_results, "ssim")
     logger.info("[%s] single: acc %.3f ssim %.3f", spec.key, single_acc, single_best.ssim)
 
@@ -105,8 +104,7 @@ def run_dataset(spec: DatasetSpec, preset: ExperimentPreset,
     attack_ours = InversionAttack(spec.model_config, bundle.image_shape, bundle.train,
                                   preset.attack, rng=spawn_rng(rng))
     ours_results = run_single_net_attacks(ensembler, attack_ours, probe,
-                                          traffic_images=traffic,
-                                          backend=preset.attack_backend)
+                                          traffic_images=traffic)
     ours_adaptive = run_adaptive_attack(ensembler, attack_ours, probe)
     ours_best_ssim = best_single_net(ours_results, "ssim")
     ours_best_psnr = best_single_net(ours_results, "psnr")

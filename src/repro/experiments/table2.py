@@ -59,8 +59,7 @@ class Table2Result:
 def _attack_one_body(defense, preset, bundle, probe, traffic, rng) -> DefenseRow:
     attack = InversionAttack(defense.model_config, bundle.image_shape, bundle.train,
                              preset.attack, rng=rng)
-    results = run_single_net_attacks(defense, attack, probe, traffic_images=traffic,
-                                     backend=preset.attack_backend)
+    results = run_single_net_attacks(defense, attack, probe, traffic_images=traffic)
     best = best_single_net(results, "ssim")
     return best
 
@@ -108,8 +107,7 @@ def run_table2(preset_name: str = "small", seed: int = 0,
     dr_acc = dr_ens.accuracy(bundle.test) - base_acc
     attack_dr = InversionAttack(spec.model_config, bundle.image_shape, bundle.train,
                                 preset.attack, rng=spawn_rng(rng))
-    dr_results = run_single_net_attacks(dr_ens, attack_dr, probe, traffic_images=traffic,
-                                        backend=preset.attack_backend)
+    dr_results = run_single_net_attacks(dr_ens, attack_dr, probe, traffic_images=traffic)
     dr_ssim = best_single_net(dr_results, "ssim")
     dr_psnr = best_single_net(dr_results, "psnr")
     rows.append(DefenseRow(f"DR-{preset.num_nets} - SSIM", dr_acc, dr_ssim.ssim, dr_ssim.psnr))
@@ -121,8 +119,7 @@ def run_table2(preset_name: str = "small", seed: int = 0,
     attack_ours = InversionAttack(spec.model_config, bundle.image_shape, bundle.train,
                                   preset.attack, rng=spawn_rng(rng))
     ours_results = run_single_net_attacks(ensembler, attack_ours, probe,
-                                          traffic_images=traffic,
-                                          backend=preset.attack_backend)
+                                          traffic_images=traffic)
     ours_adaptive = run_adaptive_attack(ensembler, attack_ours, probe)
     ours_ssim = best_single_net(ours_results, "ssim")
     ours_psnr = best_single_net(ours_results, "psnr")

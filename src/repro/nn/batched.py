@@ -943,7 +943,7 @@ class StackedSequential(StackedModule):
 
 
 # ----------------------------------------------------------------------
-# Eval-time BN fold + padding-safety analysis
+# Eval-time conv←BN fold
 # ----------------------------------------------------------------------
 
 

@@ -323,19 +323,24 @@ def batch_norm2d(
     In training mode batch statistics are used and running statistics are
     updated in place; in eval mode the running statistics are used.
     """
-    if training:
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = x.var(axis=(0, 2, 3), keepdims=True)
-        batch = x.shape[0] * x.shape[2] * x.shape[3]
-        unbiased = var.data * batch / max(batch - 1, 1)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.data.reshape(-1)
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased.reshape(-1)
-    else:
-        mean = Tensor(running_mean.reshape(1, -1, 1, 1))
-        var = Tensor(running_var.reshape(1, -1, 1, 1))
     profiling.record("batch_norm", 4 * x.size)
+    if not training:
+        # Fold mean/var/affine into one per-channel scale-and-shift pair, so
+        # the full-size tensor is touched twice instead of four times.
+        # Gradients to gamma/beta flow through the small (C,) precompute.
+        dtype = x.data.dtype
+        inv_std = Tensor(1.0 / np.sqrt(running_var + eps), dtype=dtype)
+        scale = gamma * inv_std
+        shift = beta - Tensor(running_mean, dtype=dtype) * scale
+        return x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
+    mean = x.mean(axis=(0, 2, 3), keepdims=True)
+    var = x.var(axis=(0, 2, 3), keepdims=True)
+    batch = x.shape[0] * x.shape[2] * x.shape[3]
+    unbiased = var.data * batch / max(batch - 1, 1)
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean.data.reshape(-1)
+    running_var *= 1.0 - momentum
+    running_var += momentum * unbiased.reshape(-1)
     x_hat = (x - mean) / (var + eps).sqrt()
     return x_hat * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
 

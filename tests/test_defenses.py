@@ -19,7 +19,7 @@ from repro.defenses import (
     fit_single,
 )
 from repro.models import ResNetConfig
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import new_rng
 
 rng = np.random.default_rng(71)
@@ -57,7 +57,6 @@ class TestFittedDefense:
         defense = fit_single(bundle, TINY_MODEL, sigma=0.3, training=TINY_TRAIN,
                              rng=new_rng(0))
         images = bundle.test.images[:2]
-        from repro.nn.tensor import no_grad
         with no_grad():
             clean = defense.head(Tensor(images)).data
         noised = defense.intermediate(images)
@@ -152,6 +151,34 @@ class TestEnsembleDefenses:
     def test_ensembler_keeps_training_result(self, ensembler):
         result = ensembler.extras["training_result"]
         assert len(result.stage1_nets) == 3
+
+    @staticmethod
+    def reference_logits(ensembler, images):
+        """The trained EnsemblerModel, which evaluates bodies one by one."""
+        with no_grad():
+            return ensembler.extras["training_result"].model(Tensor(images)).data
+
+    def test_fused_predict_matches_reference_model(self, ensembler, bundle):
+        """predict() runs the P selected bodies as one stacked pass."""
+        assert ensembler._stacked_active is not None
+        images = bundle.test.images[:8]
+        np.testing.assert_allclose(ensembler.predict(images),
+                                   self.reference_logits(ensembler, images),
+                                   rtol=0, atol=1e-5)
+
+    def test_unstackable_selected_bodies_match_reference_model(self, ensembler, bundle):
+        """Wrapping one selected body makes the selection heterogeneous, so
+        predict() takes its per-body fallback; logits must not move."""
+        bodies = list(ensembler.bodies)
+        wrapped = ensembler.selector.indices[0]
+        bodies[wrapped] = nn.Sequential(bodies[wrapped])
+        defense = FittedDefense("wrapped", ensembler.head, bodies, ensembler.tail,
+                                ensembler.noise, TINY_MODEL, selector=ensembler.selector)
+        assert defense._stacked_active is None
+        images = bundle.test.images[:8]
+        np.testing.assert_allclose(defense.predict(images),
+                                   self.reference_logits(ensembler, images),
+                                   rtol=0, atol=1e-5)
 
     def test_dropout_ensemble_removes_stage1_noise(self, bundle):
         defense = fit_dropout_ensemble(bundle, TINY_MODEL, config=TINY_ENSEMBLE, p=0.2,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.ci import Channel, Client, EnsembleCIPipeline, Server
-from repro.core import EnsemblerModel, FixedGaussianNoise, Selector
+from repro.core import FixedGaussianNoise, Selector
 from repro.core.training import recalibrate_batchnorm
 from repro.models import ResNet, ResNetConfig
 from repro.models.resnet import ResNetBody, ResNetHead, ResNetTail
@@ -239,98 +239,6 @@ class TestStackedBodies:
         body_arrays = {id(p.data) for body in bodies for p in body.parameters()}
         stacked_arrays = {id(p.data) for p in stacked.parameters()}
         assert not body_arrays & stacked_arrays
-
-
-class TestEnsemblerModelBackend:
-    def make_model(self, num_nets=3, num_active=2, backend="batched", width=8):
-        config = body_config(width)
-        nets = [ResNet(config, rng=new_rng(i)) for i in range(num_nets)]
-        for net in nets:
-            net.eval()
-        selector = Selector(num_nets, tuple(range(num_active)))
-        head = ResNetHead(config, new_rng(10))
-        tail = ResNetTail(config, new_rng(11), in_multiplier=num_active)
-        noise = FixedGaussianNoise(config.intermediate_shape(16), 0.1, new_rng(12))
-        model = EnsemblerModel(head, [n.body for n in nets], tail, selector, noise,
-                               backend=backend)
-        return model.eval()
-
-    def test_backend_resolution(self):
-        assert self.make_model(backend="batched").backend == "batched"
-        assert self.make_model(backend="looped").backend == "looped"
-        with pytest.raises(ValueError):
-            self.make_model(backend="gpu")
-
-    @pytest.mark.parametrize("num_nets,width", EXPERIMENT_SHAPES)
-    def test_server_outputs_backend_parity(self, num_nets, width):
-        model = self.make_model(num_nets=num_nets, num_active=2, width=width)
-        features = Tensor(features_for(width))
-        with no_grad():
-            fused = model.server_outputs(features, backend="batched")
-            looped = model.server_outputs(features, backend="looped")
-        assert len(fused) == len(looped) == num_nets
-        for a, b in zip(fused, looped):
-            assert np.abs(a.data - b.data).max() <= 1e-5
-
-    def test_forward_backend_parity(self):
-        batched = self.make_model(backend="batched")
-        looped = self.make_model(backend="looped")
-        x = Tensor(rng.random((2, 3, 16, 16)).astype(np.float32))
-        with no_grad():
-            np.testing.assert_allclose(batched(x).data, looped(x).data, atol=1e-5)
-            np.testing.assert_allclose(batched.forward_full_protocol(x).data,
-                                       looped.forward_full_protocol(x).data,
-                                       atol=1e-5)
-
-    def test_heterogeneous_bodies_fall_back_to_looped(self):
-        config8, config16 = body_config(8), body_config(8)
-        bodies = [ResNet(config8, rng=new_rng(0)).body,
-                  nn.Sequential(nn.GlobalAvgPool2d())]
-        selector = Selector(2, (0, 1))
-        model = EnsemblerModel(ResNetHead(config16, new_rng(1)), bodies,
-                               nn.Identity(), selector, nn.Identity())
-        assert model.backend == "looped"
-
-    def test_load_state_dict_resyncs_stacked(self):
-        source = self.make_model()
-        target = self.make_model()
-        for param in target.server_parameters():
-            param.data = param.data + 0.05
-        target.load_state_dict(source.state_dict())
-        features = Tensor(features_for(8))
-        with no_grad():
-            fused = target.server_outputs(features, backend="batched")
-            expected = source.server_outputs(features, backend="looped")
-        for a, b in zip(fused, expected):
-            assert np.abs(a.data - b.data).max() <= 1e-5
-
-    def test_train_mode_updates_bodies_then_eval_resyncs(self):
-        """Train-mode forwards must update BN stats in the *bodies* (looped
-        path), and eval() must refresh the stacked mirror from them, so the
-        backends stay interchangeable across a train/eval cycle."""
-        model = self.make_model()
-        x = Tensor(rng.random((4, 3, 16, 16)).astype(np.float32))
-        before = [body.state_dict() for body in model.bodies]
-        model.train()
-        model.forward_full_protocol(x)  # runs looped; bodies' BN stats move
-        after = [body.state_dict() for body in model.bodies]
-        moved = any(not np.array_equal(b[k], a[k])
-                    for b, a in zip(before, after) for k in b)
-        assert moved, "train-mode forward should update the bodies' BN stats"
-        model.eval()
-        feats = Tensor(features_for(8))
-        with no_grad():
-            fused = model.server_outputs(feats, backend="batched")
-            looped = model.server_outputs(feats, backend="looped")
-        for a, b in zip(fused, looped):
-            assert np.abs(a.data - b.data).max() <= 1e-5
-
-    def test_state_dict_unchanged_by_backend(self):
-        """The stacked mirror must not leak into checkpoints/parameters."""
-        batched = self.make_model(backend="batched")
-        looped = self.make_model(backend="looped")
-        assert set(batched.state_dict()) == set(looped.state_dict())
-        assert batched.num_parameters() == looped.num_parameters()
 
 
 class TestServerBackend:

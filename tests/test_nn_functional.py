@@ -220,6 +220,40 @@ class TestBatchNorm:
 
         assert_gradients_close(weighted, [x, gamma, beta], rtol=1e-3, atol=1e-6)
 
+    @staticmethod
+    def eval_case():
+        x = Tensor(rng.normal(2.0, 3.0, size=(3, 4, 5, 5)), requires_grad=True,
+                   dtype=np.float64)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True, dtype=np.float64)
+        beta = Tensor(rng.normal(size=4), requires_grad=True, dtype=np.float64)
+        mean = rng.normal(1.0, 2.0, size=4)
+        var = rng.uniform(0.2, 5.0, size=4)
+        return x, gamma, beta, mean, var
+
+    def test_eval_matches_four_pass_formula(self):
+        """Eval folds (x - mean) / sqrt(var + eps) * gamma + beta into one
+        scale and shift per channel; the values must not move."""
+        x, gamma, beta, mean, var = self.eval_case()
+        out = F.batch_norm2d(x, gamma, beta, mean, var, training=False, eps=1e-5)
+        col = (1, -1, 1, 1)
+        expected = ((x.data - mean.reshape(col)) / np.sqrt(var.reshape(col) + 1e-5)
+                    * gamma.data.reshape(col) + beta.data.reshape(col))
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-6)
+
+    def test_eval_gradients(self):
+        x, gamma, beta, mean, var = self.eval_case()
+        weights = Tensor(rng.normal(size=x.shape), dtype=np.float64)
+        stats = (mean.copy(), var.copy())
+
+        def weighted():
+            out = F.batch_norm2d(x, gamma, beta, mean, var, training=False)
+            return (out * weights).sum()
+
+        assert_gradients_close(weighted, [x, gamma, beta], rtol=1e-3, atol=1e-6)
+        np.testing.assert_array_equal(mean, stats[0])
+        np.testing.assert_array_equal(var, stats[1])
+
 
 class TestActivationsLosses:
     def test_softmax_rows_sum_to_one(self):

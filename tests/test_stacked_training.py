@@ -3,7 +3,7 @@
 The contract: ``run_stacked_sgd`` over E stacked members with per-member RNG
 streams matches E independent ``run_sgd`` runs on the same streams — same
 final parameters, same loss histories — for both optimisers, and the fused
-stage-1 path of ``EnsemblerTrainer`` matches the looped backend exactly.
+stage-1 path of ``EnsemblerTrainer`` matches its per-net fallback loop exactly.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro.data.datasets import ArrayDataset
 from repro.data.synthetic import cifar10_like
 from repro.models.resnet import ResNetConfig
 from repro.nn import functional as F
-from repro.nn.batched import batched_cross_entropy, stack_modules
+from repro.nn.batched import UnstackableError, batched_cross_entropy, stack_modules
 from repro.nn.tensor import Tensor
 from repro.utils.rng import new_rng
 
@@ -124,9 +124,17 @@ class TestRunStackedSgd:
                             TrainingConfig(epochs=1), [new_rng(0), new_rng(1)])
 
 
+def _refuse_to_stack(modules):
+    raise UnstackableError("forced per-net fallback")
+
+
 class TestFusedStage1:
-    def test_backends_agree(self):
-        """Fused multi-net stage-1 == looped stage-1 on identical streams."""
+    def test_backends_agree(self, monkeypatch):
+        """Fused multi-net stage-1 == looped stage-1 on identical streams.
+
+        The looped arm forces the real fallback: ``stack_modules`` raises
+        :class:`UnstackableError`, as it does for DR-N's dropout noise.
+        """
         bundle = cifar10_like(size=8, train_per_class=4, test_per_class=2,
                               num_classes=4, rng=new_rng(1))
         model_config = ResNetConfig(num_classes=4, stem_channels=8,
@@ -134,11 +142,13 @@ class TestFusedStage1:
         train = TrainingConfig(epochs=2, batch_size=8, lr=0.05)
         states = {}
         histories = {}
+        config = EnsemblerConfig(num_nets=3, num_active=2, stage1=train, stage3=train)
         for backend in ("looped", "batched"):
-            config = EnsemblerConfig(num_nets=3, num_active=2, stage1=train,
-                                     stage3=train, backend=backend)
-            trainer = EnsemblerTrainer(model_config, 8, config, rng=new_rng(42))
-            nets, _, hist = trainer.train_stage1(bundle.train)
+            with monkeypatch.context() as patch:
+                if backend == "looped":
+                    patch.setattr("repro.core.training.stack_modules", _refuse_to_stack)
+                trainer = EnsemblerTrainer(model_config, 8, config, rng=new_rng(42))
+                nets, _, hist = trainer.train_stage1(bundle.train)
             states[backend] = [net.state_dict() for net in nets]
             histories[backend] = hist
         np.testing.assert_allclose(np.array(histories["batched"]),
@@ -155,8 +165,7 @@ class TestFusedStage1:
         model_config = ResNetConfig(num_classes=4, stem_channels=8,
                                     stage_channels=(8, 16), blocks_per_stage=(1, 1))
         train = TrainingConfig(epochs=1, batch_size=8, lr=0.05)
-        config = EnsemblerConfig(num_nets=2, num_active=1, stage1=train,
-                                 stage3=train, backend="batched")
+        config = EnsemblerConfig(num_nets=2, num_active=1, stage1=train, stage3=train)
         trainer = EnsemblerTrainer(
             model_config, 8, config, rng=new_rng(3),
             noise_factory=lambda shape, noise_rng: nn.Dropout(0.1, rng=noise_rng))
