@@ -16,7 +16,8 @@ rendered API text as a workflow artifact):
   ``docs/*.md`` must resolve to an existing file (external http(s) links
   are not fetched).  Dead links fail the build.
 * **attribute references** — every backticked `` `Name.attr` `` (or
-  `` `Name.attr(...)` ``) in ``README.md`` and ``docs/*.md`` whose
+  `` `Name.attr(...)` ``, `` `Name.attr=value` ``, `` `Name.attr[key]` ``,
+  `` `Name.attr == value` ``) in ``README.md`` and ``docs/*.md`` whose
   ``Name`` is exported by one of the API or reference packages (core,
   ci, experiments, attacks and defenses too) must name a real
   attribute: a class attribute (methods and properties included), a
@@ -78,8 +79,10 @@ RENDER_DIR = REPO_ROOT / "build" / "docs-api"
 #: definitions resolve through the same pattern.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
-#: a backticked ``Name.attr`` reference, optionally called: `Name.attr(...)`.
-_ATTR_REF = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\([^`]*\))?`")
+#: a backticked ``Name.attr`` reference, bare or followed by a call, a
+#: value, an index or a spaced expression: `Name.attr(...)`,
+#: `Name.attr="x"`, `Name.attr[k]`, `Name.attr == 0`.
+_ATTR_REF = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:[(=\[ ][^`]*)?`")
 
 
 def render_api_docs(render_dir: Path = RENDER_DIR) -> list[str]:

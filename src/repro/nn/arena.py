@@ -2,7 +2,8 @@
 
 Every stacked serving tick needs the same working set — the pad
 canvas, im2col columns and pre-crop GEMM result of each no-grad
-convolution (:func:`repro.nn.batched.batched_conv2d`), plus the staging
+convolution (:func:`repro.nn.functional.batched_conv2d`, whose E = 1
+case is the per-net :func:`repro.nn.functional.conv2d`), plus the staging
 buffer the service copies coalesced uplink payloads into.  A
 :class:`TensorArena` keeps those buffers alive between ticks and hands
 them back by *slot*: a ``(tag, sequence)`` key in per-pass order for
@@ -11,7 +12,7 @@ buffers the service owns.
 
 The convolution scratch is **block-sized**: the no-grad kernel lowers
 and multiplies a few images at a time, so each slot holds one block
-(whose columns fit in :data:`repro.nn.batched.BLOCK_BYTES`), not the
+(whose columns fit in :data:`repro.nn.functional.BLOCK_BYTES`), not the
 whole batch, and its shape depends on the layer alone.  The kernel is
 the same with or without an arena — the arena only decides where its
 scratch comes from — so outputs are bit-equal either way.

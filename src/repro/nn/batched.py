@@ -17,6 +17,11 @@ The first parametric layer then lowers the shared input once (one im2col)
 and applies one ``(E·out_c, C·kh·kw)`` matmul, after which activations are
 per-member.
 
+The conv, conv-transpose and batch-norm kernels live in
+:mod:`repro.nn.functional` (the per-net ops are their E = 1 case); this
+module imports them and adds the other stacked ops, the stacking registry
+and the eval-time conv←BN fold.
+
 Stacking
 --------
 :func:`stack_modules` compiles a list of architecturally identical modules
@@ -50,7 +55,8 @@ model pieces which register themselves next to their definitions
    and a per-member 5-D input both work;
 4. leave ``sync_from`` / ``unstack_to`` alone if the stacked module only
    holds stacked children — the structural defaults recurse; override them
-   only on parameter-holding leaves.
+   only on parameter-holding leaves (a leaf whose parameters are just
+   ``weight`` and an optional ``bias`` subclasses ``_StackedWeightBias``).
 
 Training through a stacked tree is supported end to end: per-member losses
 (:func:`batched_cross_entropy`, :func:`batched_mse`) reduce to an ``(E,)``
@@ -66,9 +72,12 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.nn import profiling
-from repro.nn.arena import active_arena
-from repro.nn.functional import _col2im, _im2col
 from repro.nn import functional as F
+from repro.nn.functional import (
+    batched_batch_norm2d,
+    batched_conv2d,
+    batched_conv_transpose2d,
+)
 from repro.nn.modules import (
     AvgPool2d,
     BatchNorm2d,
@@ -125,321 +134,6 @@ def batched_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Ten
     return out
 
 
-def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the trailing two (spatial) axes.
-
-    Equivalent to ``np.pad`` but a plain alloc-and-assign: ``np.pad``'s
-    generic machinery costs more Python time than a whole small conv layer
-    on the fused hot path.
-    """
-    if padding == 0:
-        return x
-    shape = x.shape[:-2] + (x.shape[-2] + 2 * padding, x.shape[-1] + 2 * padding)
-    out = np.zeros(shape, dtype=x.dtype)
-    out[..., padding:-padding, padding:-padding] = x
-    return out
-
-
-#: Bytes of lowered columns one block of the no-grad convolution kernel
-#: may hold.  Half a MiB leaves room in a 2 MiB per-core L2 for the
-#: block's pad canvas and GEMM result next to its columns, so the GEMM
-#: reads columns the lowering has just written to cache.
-BLOCK_BYTES = 1 << 19
-
-
-def _conv2d_nograd(x: np.ndarray, weight: np.ndarray,
-                   bias: np.ndarray | None, stride: int, padding: int,
-                   out_h: int, out_w: int, arena) -> np.ndarray:
-    """Forward-only stacked convolution, lowered and multiplied per block.
-
-    ``x`` is a shared ``(N, C, H, W)`` or per-member ``(E, N, C, H, W)``
-    array.  Images are processed in blocks whose im2col columns fit in
-    :data:`BLOCK_BYTES`; per block the kernel pads, lowers and runs one
-    GEMM per image — ``(E·out_c, K)`` for a shared input, the member's own
-    ``(out_c, K)`` otherwise — and writes the result, plus ``bias``, into
-    the fresh output while the block is still in cache.  A block holds
-    images of one member, or whole members when they fit.
-
-    Stride-1 kernels lower whole padded rows: the column row of kernel tap
-    ``(i, j)`` is the run of ``(oh−1)·wp + ow`` floats starting at padded
-    offset ``i·wp + j``, so the GEMM yields ``wp``-wide output rows whose
-    last ``wp − ow`` entries (which straddle a row break) are cropped.  A
-    1x1 stride-1 pad-0 kernel lowers nothing: its block is the input.
-
-    Scratch (pad canvas, columns, pre-crop GEMM result) is block-shaped,
-    so its shape depends on the layer alone, not on the batch; it comes
-    from ``arena`` when one is active and is freshly allocated otherwise.
-    Either way the arithmetic is the same, so outputs are bit-equal.
-    """
-    e, out_c, in_c, kh, kw = weight.shape
-    shared = x.ndim == 4
-    x = np.ascontiguousarray(x)
-    n, c, h, w = x.shape[-4:]
-    members = 1 if shared else e
-    images = x.reshape(members * n, c, h, w)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    k = in_c * kh * kw
-    pointwise = kh == kw == 1 and stride == 1 and padding == 0
-    run_w = wp if stride == 1 and not pointwise else out_w
-    length = out_h * run_w
-    crop = run_w != out_w
-    dtype = np.result_type(weight.dtype, x.dtype)
-    rows = e * out_c if shared else out_c
-    wmat = weight.reshape(members, 1, rows, k)
-    if bias is not None:
-        bias = bias.reshape(members, 1, rows, 1)
-    out = np.empty((e, n, out_c, out_h, out_w), dtype=dtype)
-    block = max(1, BLOCK_BYTES // (k * length * x.itemsize))
-
-    def scratch(tag, shape, dt):
-        if arena is None:
-            return np.empty(shape, dtype=dt)
-        return arena.take(tag, shape, dt)
-
-    if padding:
-        # Borders are zeroed once; blocks only overwrite the interior.
-        canvas = scratch("pad", (block, c, hp, wp), x.dtype)
-        canvas.fill(0)
-    cols = None if pointwise else scratch("cols", (block, k, length), x.dtype)
-    mm = scratch("mm", (block, rows, length), dtype) if shared or crop else None
-
-    # (first member, members, first image, images) of every block
-    if shared or block < n:
-        spans = [(m, 1, n0, min(block, n - n0))
-                 for m in range(members) for n0 in range(0, n, block)]
-    else:
-        per = block // n
-        spans = [(m, min(per, members - m), 0, n)
-                 for m in range(0, members, per)]
-    for m, me, n0, nb in spans:
-        f0, count = m * n + n0, me * nb
-        src = images[f0:f0 + count]
-        if padding:
-            canvas[:count, :, padding:-padding, padding:-padding] = src
-            src = canvas[:count]
-        if pointwise:
-            lowered = src
-        else:
-            lowered = cols[:count]
-            s0, s1, s2, s3 = src.strides
-            taps = lowered.reshape(count, c, kh, kw, length)
-            # Tap views over the contiguous block, built with the ndarray
-            # constructor: ``as_strided`` costs ~15 µs of Python per call.
-            if stride == 1:
-                run = (out_h - 1) * wp + out_w
-                np.copyto(taps[..., :run], np.ndarray(
-                    (count, c, kh, kw, run), src.dtype, src, 0,
-                    (s0, s1, s2, s3, s3)))
-                taps[..., run:] = 0  # feeds cropped outputs only
-            else:
-                np.copyto(taps.reshape(count, c, kh, kw, out_h, out_w),
-                          np.ndarray((count, c, kh, kw, out_h, out_w),
-                                     src.dtype, src, 0,
-                                     (s0, s1, s2, s3, s2 * stride,
-                                      s3 * stride)))
-        lowered = lowered.reshape(me, nb, k, length)
-        dst = out[:, n0:n0 + nb] if shared else out[m:m + me, n0:n0 + nb]
-        direct = not (shared or crop)
-        res = np.matmul(wmat[m:m + me], lowered,
-                        out=(dst if direct else mm[:count]).reshape(
-                            me, nb, rows, length))
-        if bias is not None:
-            res += bias[m:m + me]
-        if direct:
-            continue
-        if shared:
-            res = res.reshape(nb, e, out_c, out_h, run_w).transpose(1, 0, 2, 3, 4)
-        else:
-            res = res.reshape(me, nb, out_c, out_h, run_w)
-        np.copyto(dst, res[..., :out_w])
-    return out
-
-
-def batched_conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """2-D convolution for E members in one fused pass.
-
-    ``weight`` is ``(E, out_c, in_c, kh, kw)``.  For a shared 4-D input the
-    image is lowered once and all E kernels apply as a single
-    ``(E·out_c, C·kh·kw)`` matmul; for a per-member 5-D input each member
-    contracts with its own kernel.  Output is ``(E, N, out_c, oh, ow)``.
-
-    When no backward will be wired (gradients disabled, or no operand
-    requires them) the op runs the cache-blocked kernel of
-    :func:`_conv2d_nograd`, with its scratch from the active
-    :class:`~repro.nn.arena.TensorArena` if there is one.  Otherwise the
-    full im2col columns are built once and captured for backward.
-    """
-    e, out_c, in_c, kh, kw = weight.shape
-    shared = x.ndim == 4
-    if shared:
-        n, c, h, w = x.shape
-    elif x.ndim == 5:
-        xe, n, c, h, w = x.shape
-        if xe != e:
-            raise ValueError(f"input carries {xe} members, weight has {e}")
-    else:
-        raise ValueError(f"expected 4-D (shared) or 5-D input, got {x.shape}")
-    if c != in_c:
-        raise ValueError(f"weight expects {in_c} input channels, got {c}")
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(f"convolution output would be empty for input {x.shape}")
-    k = in_c * kh * kw
-    length = out_h * out_w
-    hp, wp = h + 2 * padding, w + 2 * padding
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    wired = is_grad_enabled() and any(p.requires_grad for p in parents)
-    if not wired:
-        out = _conv2d_nograd(x.data, weight.data,
-                             None if bias is None else bias.data,
-                             stride, padding, out_h, out_w, active_arena())
-    elif shared:
-        cols = _im2col(_pad_spatial(x.data, padding), kh, kw, stride)  # (N, K, L)
-        w2 = weight.data.reshape(e * out_c, k)
-        out = np.matmul(w2[None, :, :], cols)  # (N, E*out_c, L)
-        out = np.ascontiguousarray(
-            out.reshape(n, e, out_c, out_h, out_w).transpose(1, 0, 2, 3, 4)
-        )
-    else:
-        x_pad = _pad_spatial(x.data, padding)
-        cols = _im2col(x_pad.reshape(e * n, c, hp, wp), kh, kw, stride)
-        cols = cols.reshape(e, n, k, length)
-        w2 = weight.data.reshape(e, out_c, k)
-        out = np.matmul(w2[:, None, :, :], cols).reshape(e, n, out_c, out_h, out_w)
-    profiling.record("conv2d", 2 * e * n * out_c * out_h * out_w * in_c * kh * kw)
-    if bias is not None:
-        if wired:
-            # ``out`` is freshly materialised just above (contiguous copy
-            # on the shared path, matmul product on the 5-D path), so the
-            # bias lands in place — no extra full-tensor temporary.
-            out += bias.data.reshape(e, 1, out_c, 1, 1)
-        profiling.record("bias", e * n * out_c * out_h * out_w)
-
-    def backward(g: np.ndarray) -> None:
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(1, 3, 4)))
-        if shared:
-            g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3, 4)).reshape(
-                n, e * out_c, length
-            )
-            if weight.requires_grad:
-                dw = np.einsum("nol,nkl->ok", g2, cols, optimize=True)
-                weight._accumulate(dw.reshape(weight.shape))
-            if x.requires_grad:
-                dcols = np.matmul(w2.T[None, :, :], g2)  # (N, K, L)
-                x._accumulate(
-                    _col2im(dcols, x.shape, kh, kw, stride, padding, out_h, out_w)
-                )
-        else:
-            g2 = g.reshape(e, n, out_c, length)
-            if weight.requires_grad:
-                # (E·N, O, L) x (E·N, L, K) batched GEMM, then reduce the
-                # batch axis: ~2x faster than the equivalent einsum, which
-                # falls off the fast BLAS path for this contraction.
-                dw = np.matmul(g2.reshape(e * n, out_c, length),
-                               cols.reshape(e * n, k, length).transpose(0, 2, 1))
-                dw = dw.reshape(e, n, out_c, k).sum(axis=1)
-                weight._accumulate(dw.reshape(weight.shape))
-            if x.requires_grad:
-                dcols = np.matmul(w2.transpose(0, 2, 1)[:, None, :, :], g2)
-                dx = _col2im(
-                    dcols.reshape(e * n, k, length), (e * n, c, h, w),
-                    kh, kw, stride, padding, out_h, out_w,
-                )
-                x._accumulate(dx.reshape(e, n, c, h, w))
-
-    return Tensor._make(out, parents, backward)
-
-
-def batched_conv_transpose2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    padding: int = 0,
-    output_padding: int = 0,
-) -> Tensor:
-    """Transposed 2-D convolution for E members in one fused pass.
-
-    ``weight`` is ``(E, in_c, out_c, kh, kw)`` (the stacked PyTorch layout).
-    Mirrors :func:`repro.nn.functional.conv_transpose2d` per member: one
-    batched matmul over the input positions followed by a strided col2im
-    scatter.  A shared 4-D input is lowered once and all E kernels apply as
-    a single ``(E·out_c·kh·kw, in_c)`` matmul; a per-member 5-D input uses
-    one batched matmul.  Output is ``(E, N, out_c, oh, ow)``.
-    """
-    e, in_c, out_c, kh, kw = weight.shape
-    if padding > kh - 1 or padding > kw - 1:
-        raise ValueError("padding must be at most kernel_size - 1")
-    if output_padding >= stride:
-        raise ValueError("output_padding must be smaller than stride")
-    shared = x.ndim == 4
-    if shared:
-        n, c, h, w = x.shape
-    elif x.ndim == 5:
-        xe, n, c, h, w = x.shape
-        if xe != e:
-            raise ValueError(f"input carries {xe} members, weight has {e}")
-    else:
-        raise ValueError(f"expected 4-D (shared) or 5-D input, got {x.shape}")
-    if c != in_c:
-        raise ValueError(f"weight expects {in_c} input channels, got {c}")
-    out_h = (h - 1) * stride - 2 * padding + kh + output_padding
-    out_w = (w - 1) * stride - 2 * padding + kw + output_padding
-    k = out_c * kh * kw
-    length = h * w
-    w2 = weight.data.reshape(e, in_c, k)
-
-    if shared:
-        x_flat = x.data.reshape(n, c, length)
-        wt = w2.transpose(0, 2, 1).reshape(e * k, in_c)
-        cols = np.matmul(wt[None, :, :], x_flat)  # (N, E*K, L)
-        cols = np.ascontiguousarray(
-            cols.reshape(n, e, k, length).transpose(1, 0, 2, 3))
-    else:
-        x_flat = x.data.reshape(e, n, c, length)
-        cols = np.matmul(w2.transpose(0, 2, 1)[:, None, :, :], x_flat)  # (E,N,K,L)
-    out = _col2im(cols.reshape(e * n, k, length), (e * n, out_c, out_h, out_w),
-                  kh, kw, stride, padding, h, w).reshape(e, n, out_c, out_h, out_w)
-    profiling.record("conv2d", 2 * e * n * c * k * length)
-    if bias is not None:
-        out = out + bias.data.reshape(e, 1, out_c, 1, 1)
-        profiling.record("bias", e * n * out_c * out_h * out_w)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g: np.ndarray) -> None:
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(1, 3, 4)))
-        g_pad = _pad_spatial(g, padding)
-        gcols = _im2col(g_pad.reshape(e * n, out_c, *g_pad.shape[-2:]),
-                        kh, kw, stride).reshape(e, n, k, length)
-        if weight.requires_grad:
-            if shared:
-                dw = np.einsum("ncl,enkl->eck", x_flat, gcols, optimize=True)
-            else:
-                dw = np.matmul(x_flat.reshape(e * n, c, length),
-                               gcols.reshape(e * n, k, length).transpose(0, 2, 1))
-                dw = dw.reshape(e, n, c, k).sum(axis=1)
-            weight._accumulate(dw.reshape(weight.shape))
-        if x.requires_grad:
-            dx = np.matmul(w2[:, None, :, :], gcols)  # (E, N, C, L)
-            if shared:
-                x._accumulate(dx.sum(axis=0).reshape(n, c, h, w))
-            else:
-                x._accumulate(dx.reshape(e, n, c, h, w))
-
-    return Tensor._make(out, parents, backward)
-
-
 def batched_upsample_nearest2d(x: Tensor, scale: int) -> Tensor:
     """Nearest-neighbour upsampling over ``(E, N, C, H, W)`` (or NCHW) input."""
     return _fold_spatial(x, lambda t: F.upsample_nearest2d(t, scale))
@@ -468,52 +162,6 @@ def batched_mse(prediction: Tensor, target: Tensor) -> Tensor:
         raise ValueError(f"shape mismatch: {prediction.shape} vs {target.shape}")
     diff = prediction - target
     return (diff * diff).mean(axis=tuple(range(1, prediction.ndim)))
-
-
-def batched_batch_norm2d(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
-    """Batch normalisation with per-member affine/statistics ``(E, C)``.
-
-    Matches :func:`repro.nn.functional.batch_norm2d` per member: batch
-    statistics and in-place running-stat updates in training mode, running
-    statistics in eval mode.  A shared 4-D input broadcasts against the
-    per-member parameters, so the output always carries the ensemble axis.
-    """
-    e, c = gamma.shape
-    shared = x.ndim == 4
-    members = 1 if shared else e
-    profiling.record("batch_norm", 4 * e * (x.size // members))
-    if not training:
-        # Eval hot path: fold mean/var/affine into one scale-and-shift pair,
-        # so the full-size tensor is touched twice instead of four times.
-        # Gradients to gamma/beta flow through the small (E, C) precompute.
-        inv_std = Tensor(1.0 / np.sqrt(running_var + eps))
-        scale = gamma * inv_std
-        shift = beta - Tensor(running_mean) * scale
-        return x * scale.reshape(e, 1, c, 1, 1) + shift.reshape(e, 1, c, 1, 1)
-    axes = (0, 2, 3) if shared else (1, 3, 4)
-    mean = x.mean(axis=axes, keepdims=True)
-    var = x.var(axis=axes, keepdims=True)
-    if shared:
-        batch = x.shape[0] * x.shape[2] * x.shape[3]
-    else:
-        batch = x.shape[1] * x.shape[3] * x.shape[4]
-    unbiased = var.data * batch / max(batch - 1, 1)
-    rows = (1, c) if shared else (e, c)
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean.data.reshape(rows)
-    running_var *= 1.0 - momentum
-    running_var += momentum * unbiased.reshape(rows)
-    x_hat = (x - mean) / (var + eps).sqrt()
-    return x_hat * gamma.reshape(e, 1, c, 1, 1) + beta.reshape(e, 1, c, 1, 1)
 
 
 def _fold_spatial(x: Tensor, op: Callable[[Tensor], Tensor]) -> Tensor:
@@ -637,20 +285,44 @@ def _stacked_parameter(tensors: list[Tensor]) -> Parameter:
     return param
 
 
+class _StackedWeightBias(StackedModule):
+    """A stacked leaf holding its members' ``weight`` and optional ``bias``."""
+
+    def __init__(self, mods: list[Module], kind: str):
+        super().__init__()
+        self.num_stacked = len(mods)
+        if len({m.bias is None for m in mods}) != 1:
+            raise UnstackableError(f"members disagree on {kind} bias")
+        self.weight = _stacked_parameter([m.weight for m in mods])
+        self.bias = (_stacked_parameter([m.bias for m in mods])
+                     if mods[0].bias is not None else None)
+
+    def sync_from(self, mods: list[Module]) -> "_StackedWeightBias":
+        mods = self._check_arity(mods)
+        self.weight.data = np.stack([m.weight.data for m in mods])
+        self.weight.requires_grad = any(m.weight.requires_grad for m in mods)
+        if self.bias is not None:
+            self.bias.data = np.stack([m.bias.data for m in mods])
+            self.bias.requires_grad = any(m.bias.requires_grad for m in mods)
+        return self
+
+    def unstack_to(self, mods: list[Module]) -> "_StackedWeightBias":
+        mods = self._check_arity(mods)
+        for i, m in enumerate(mods):
+            m.weight.data = self.weight.data[i].copy()
+            if self.bias is not None:
+                m.bias.data = self.bias.data[i].copy()
+        return self
+
+
 @register_stacker(Conv2d)
-class StackedConv2d(StackedModule):
+class StackedConv2d(_StackedWeightBias):
     """E convolutions fused into one :func:`batched_conv2d` call."""
 
     def __init__(self, convs: list[Conv2d]):
-        super().__init__()
-        self.num_stacked = len(convs)
+        super().__init__(convs, "conv")
         self.stride = common_attr(convs, "stride")
         self.padding = common_attr(convs, "padding")
-        if len({conv.bias is None for conv in convs}) != 1:
-            raise UnstackableError("members disagree on conv bias")
-        self.weight = _stacked_parameter([conv.weight for conv in convs])
-        self.bias = (_stacked_parameter([conv.bias for conv in convs])
-                     if convs[0].bias is not None else None)
         # Eval-time BN fold for bias-free convs: the folded shift lives in
         # a plain (non-parameter) tensor so ``parameters()`` / state_dict
         # are unchanged by folding.  ``None`` whenever unfolded.
@@ -661,58 +333,18 @@ class StackedConv2d(StackedModule):
         return batched_conv2d(x, self.weight, bias, stride=self.stride,
                               padding=self.padding)
 
-    def sync_from(self, convs: list[Conv2d]) -> "StackedConv2d":
-        convs = self._check_arity(convs)
-        self.weight.data = np.stack([conv.weight.data for conv in convs])
-        self.weight.requires_grad = any(conv.weight.requires_grad for conv in convs)
-        if self.bias is not None:
-            self.bias.data = np.stack([conv.bias.data for conv in convs])
-            self.bias.requires_grad = any(conv.bias.requires_grad for conv in convs)
-        return self
-
-    def unstack_to(self, convs: list[Conv2d]) -> "StackedConv2d":
-        convs = self._check_arity(convs)
-        for i, conv in enumerate(convs):
-            conv.weight.data = self.weight.data[i].copy()
-            if self.bias is not None:
-                conv.bias.data = self.bias.data[i].copy()
-        return self
-
 
 @register_stacker(Linear)
-class StackedLinear(StackedModule):
+class StackedLinear(_StackedWeightBias):
     """E affine layers fused into one :func:`batched_linear` call."""
 
     def __init__(self, linears: list[Linear]):
-        super().__init__()
-        self.num_stacked = len(linears)
+        super().__init__(linears, "linear")
         self.in_features = common_attr(linears, "in_features")
         self.out_features = common_attr(linears, "out_features")
-        if len({lin.bias is None for lin in linears}) != 1:
-            raise UnstackableError("members disagree on linear bias")
-        self.weight = _stacked_parameter([lin.weight for lin in linears])
-        self.bias = (_stacked_parameter([lin.bias for lin in linears])
-                     if linears[0].bias is not None else None)
 
     def forward(self, x: Tensor) -> Tensor:
         return batched_linear(x, self.weight, self.bias)
-
-    def sync_from(self, linears: list[Linear]) -> "StackedLinear":
-        linears = self._check_arity(linears)
-        self.weight.data = np.stack([lin.weight.data for lin in linears])
-        self.weight.requires_grad = any(lin.weight.requires_grad for lin in linears)
-        if self.bias is not None:
-            self.bias.data = np.stack([lin.bias.data for lin in linears])
-            self.bias.requires_grad = any(lin.bias.requires_grad for lin in linears)
-        return self
-
-    def unstack_to(self, linears: list[Linear]) -> "StackedLinear":
-        linears = self._check_arity(linears)
-        for i, lin in enumerate(linears):
-            lin.weight.data = self.weight.data[i].copy()
-            if self.bias is not None:
-                lin.bias.data = self.bias.data[i].copy()
-        return self
 
 
 @register_stacker(BatchNorm2d)
@@ -779,7 +411,7 @@ class StackedBatchNorm2d(StackedModule):
 
 
 @register_stacker(ConvTranspose2d)
-class StackedConvTranspose2d(StackedModule):
+class StackedConvTranspose2d(_StackedWeightBias):
     """E transposed convolutions fused into one :func:`batched_conv_transpose2d`.
 
     The stacker the inversion decoders compile through — with it (plus
@@ -788,38 +420,15 @@ class StackedConvTranspose2d(StackedModule):
     """
 
     def __init__(self, convs: list[ConvTranspose2d]):
-        super().__init__()
-        self.num_stacked = len(convs)
+        super().__init__(convs, "conv")
         self.stride = common_attr(convs, "stride")
         self.padding = common_attr(convs, "padding")
         self.output_padding = common_attr(convs, "output_padding")
-        if len({conv.bias is None for conv in convs}) != 1:
-            raise UnstackableError("members disagree on conv bias")
-        self.weight = _stacked_parameter([conv.weight for conv in convs])
-        self.bias = (_stacked_parameter([conv.bias for conv in convs])
-                     if convs[0].bias is not None else None)
 
     def forward(self, x: Tensor) -> Tensor:
         return batched_conv_transpose2d(x, self.weight, self.bias,
                                         stride=self.stride, padding=self.padding,
                                         output_padding=self.output_padding)
-
-    def sync_from(self, convs: list[ConvTranspose2d]) -> "StackedConvTranspose2d":
-        convs = self._check_arity(convs)
-        self.weight.data = np.stack([conv.weight.data for conv in convs])
-        self.weight.requires_grad = any(conv.weight.requires_grad for conv in convs)
-        if self.bias is not None:
-            self.bias.data = np.stack([conv.bias.data for conv in convs])
-            self.bias.requires_grad = any(conv.bias.requires_grad for conv in convs)
-        return self
-
-    def unstack_to(self, convs: list[ConvTranspose2d]) -> "StackedConvTranspose2d":
-        convs = self._check_arity(convs)
-        for i, conv in enumerate(convs):
-            conv.weight.data = self.weight.data[i].copy()
-            if self.bias is not None:
-                conv.bias.data = self.bias.data[i].copy()
-        return self
 
 
 @register_stacker(ReLU)

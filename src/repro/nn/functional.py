@@ -4,6 +4,13 @@ Convolution is implemented with the classic im2col/col2im lowering so that the
 heavy lifting happens inside BLAS matmuls; everything else composes existing
 autograd primitives where possible and falls back to hand-written backward
 closures where composition would be wasteful (pooling).
+
+Convolution, transposed convolution and batch norm each have one kernel,
+written for E members stacked on a leading axis (:func:`batched_conv2d`,
+:func:`batched_conv_transpose2d`, :func:`batched_batch_norm2d`); the
+per-net :func:`conv2d`, :func:`conv_transpose2d` and :func:`batch_norm2d`
+are their E = 1 case, so client heads, per-net training and the stacked
+server pass share one lowering.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import profiling
+from repro.nn.arena import active_arena
 from repro.nn.tensor import Tensor, concat, is_grad_enabled  # noqa: F401  (concat re-exported)
 
 # ----------------------------------------------------------------------
@@ -58,72 +66,247 @@ def _col2im(
     return x_pad
 
 
+def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the trailing two (spatial) axes.
+
+    Equivalent to ``np.pad`` but a plain alloc-and-assign: ``np.pad``'s
+    generic machinery costs more Python time than a whole small conv layer
+    on the fused hot path.
+    """
+    if padding == 0:
+        return x
+    shape = x.shape[:-2] + (x.shape[-2] + 2 * padding, x.shape[-1] + 2 * padding)
+    out = np.zeros(shape, dtype=x.dtype)
+    out[..., padding:-padding, padding:-padding] = x
+    return out
+
+
+#: Bytes of lowered columns one block of the no-grad convolution kernel
+#: may hold.  Half a MiB leaves room in a 2 MiB per-core L2 for the
+#: block's pad canvas and GEMM result next to its columns, so the GEMM
+#: reads columns the lowering has just written to cache.
+BLOCK_BYTES = 1 << 19
+
+
+def _conv2d_nograd(x: np.ndarray, weight: np.ndarray,
+                   bias: np.ndarray | None, stride: int, padding: int,
+                   out_h: int, out_w: int, arena) -> np.ndarray:
+    """Forward-only stacked convolution, lowered and multiplied per block.
+
+    ``x`` is a shared ``(N, C, H, W)`` or per-member ``(E, N, C, H, W)``
+    array.  Images are processed in blocks whose im2col columns fit in
+    :data:`BLOCK_BYTES`; per block the kernel pads, lowers and runs one
+    GEMM per image — ``(E·out_c, K)`` for a shared input, the member's own
+    ``(out_c, K)`` otherwise — and writes the result, plus ``bias``, into
+    the fresh output while the block is still in cache.  A block holds
+    images of one member, or whole members when they fit.
+
+    Stride-1 kernels lower whole padded rows: the column row of kernel tap
+    ``(i, j)`` is the run of ``(oh−1)·wp + ow`` floats starting at padded
+    offset ``i·wp + j``, so the GEMM yields ``wp``-wide output rows whose
+    last ``wp − ow`` entries (which straddle a row break) are cropped.  A
+    1x1 stride-1 pad-0 kernel lowers nothing: its block is the input.
+
+    Scratch (pad canvas, columns, pre-crop GEMM result) is block-shaped,
+    so its shape depends on the layer alone, not on the batch; it comes
+    from ``arena`` when one is active and is freshly allocated otherwise.
+    Either way the arithmetic is the same, so outputs are bit-equal.
+    """
+    e, out_c, in_c, kh, kw = weight.shape
+    shared = x.ndim == 4
+    x = np.ascontiguousarray(x)
+    n, c, h, w = x.shape[-4:]
+    members = 1 if shared else e
+    images = x.reshape(members * n, c, h, w)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    k = in_c * kh * kw
+    pointwise = kh == kw == 1 and stride == 1 and padding == 0
+    run_w = wp if stride == 1 and not pointwise else out_w
+    length = out_h * run_w
+    crop = run_w != out_w
+    dtype = np.result_type(weight.dtype, x.dtype)
+    rows = e * out_c if shared else out_c
+    wmat = weight.reshape(members, 1, rows, k)
+    if bias is not None:
+        bias = bias.reshape(members, 1, rows, 1)
+    out = np.empty((e, n, out_c, out_h, out_w), dtype=dtype)
+    block = max(1, BLOCK_BYTES // (k * length * x.itemsize))
+
+    def scratch(tag, shape, dt):
+        if arena is None:
+            return np.empty(shape, dtype=dt)
+        return arena.take(tag, shape, dt)
+
+    if padding:
+        # Borders are zeroed once; blocks only overwrite the interior.
+        canvas = scratch("pad", (block, c, hp, wp), x.dtype)
+        canvas.fill(0)
+    cols = None if pointwise else scratch("cols", (block, k, length), x.dtype)
+    mm = scratch("mm", (block, rows, length), dtype) if shared or crop else None
+
+    # (first member, members, first image, images) of every block
+    if shared or block < n:
+        spans = [(m, 1, n0, min(block, n - n0))
+                 for m in range(members) for n0 in range(0, n, block)]
+    else:
+        per = block // n
+        spans = [(m, min(per, members - m), 0, n)
+                 for m in range(0, members, per)]
+    for m, me, n0, nb in spans:
+        f0, count = m * n + n0, me * nb
+        src = images[f0:f0 + count]
+        if padding:
+            canvas[:count, :, padding:-padding, padding:-padding] = src
+            src = canvas[:count]
+        if pointwise:
+            lowered = src
+        else:
+            lowered = cols[:count]
+            s0, s1, s2, s3 = src.strides
+            taps = lowered.reshape(count, c, kh, kw, length)
+            # Tap views over the contiguous block, built with the ndarray
+            # constructor: ``as_strided`` costs ~15 µs of Python per call.
+            if stride == 1:
+                run = (out_h - 1) * wp + out_w
+                np.copyto(taps[..., :run], np.ndarray(
+                    (count, c, kh, kw, run), src.dtype, src, 0,
+                    (s0, s1, s2, s3, s3)))
+                taps[..., run:] = 0  # feeds cropped outputs only
+            else:
+                np.copyto(taps.reshape(count, c, kh, kw, out_h, out_w),
+                          np.ndarray((count, c, kh, kw, out_h, out_w),
+                                     src.dtype, src, 0,
+                                     (s0, s1, s2, s3, s2 * stride,
+                                      s3 * stride)))
+        lowered = lowered.reshape(me, nb, k, length)
+        dst = out[:, n0:n0 + nb] if shared else out[m:m + me, n0:n0 + nb]
+        direct = not (shared or crop)
+        res = np.matmul(wmat[m:m + me], lowered,
+                        out=(dst if direct else mm[:count]).reshape(
+                            me, nb, rows, length))
+        if bias is not None:
+            res += bias[m:m + me]
+        if direct:
+            continue
+        if shared:
+            res = res.reshape(nb, e, out_c, out_h, run_w).transpose(1, 0, 2, 3, 4)
+        else:
+            res = res.reshape(me, nb, out_c, out_h, run_w)
+        np.copyto(dst, res[..., :out_w])
+    return out
+
+
 # ----------------------------------------------------------------------
 # Convolution
 # ----------------------------------------------------------------------
 
 
-def conv2d(
+def _member_input(x: Tensor, e: int, in_c: int) -> tuple[bool, tuple[int, ...]]:
+    """Whether a stacked-conv input is shared, and its per-member NCHW shape."""
+    if x.ndim not in (4, 5):
+        raise ValueError(f"expected 4-D (shared) or 5-D input, got {x.shape}")
+    if x.ndim == 5 and x.shape[0] != e:
+        raise ValueError(f"input carries {x.shape[0]} members, weight has {e}")
+    if x.shape[-3] != in_c:
+        raise ValueError(f"weight expects {in_c} input channels, got {x.shape[-3]}")
+    return x.ndim == 4, x.shape[-4:]
+
+
+def batched_conv2d(
     x: Tensor,
     weight: Tensor,
     bias: Tensor | None = None,
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2-D convolution (cross-correlation) over NCHW input.
+    """2-D convolution for E members in one fused pass.
 
-    ``weight`` has shape ``(out_channels, in_channels, kh, kw)``.
+    ``weight`` is ``(E, out_c, in_c, kh, kw)``.  For a shared 4-D input the
+    image is lowered once and all E kernels apply as a single
+    ``(E·out_c, C·kh·kw)`` matmul; for a per-member 5-D input each member
+    contracts with its own kernel.  Output is ``(E, N, out_c, oh, ow)``.
+
+    When no backward will be wired (gradients disabled, or no operand
+    requires them) the op runs the cache-blocked kernel of
+    :func:`_conv2d_nograd`, with its scratch from the active
+    :class:`~repro.nn.arena.TensorArena` if there is one.  Otherwise the
+    full im2col columns are built once and captured for backward.
     """
-    n, c, h, w = x.shape
-    out_c, in_c, kh, kw = weight.shape
-    if in_c != c:
-        raise ValueError(f"weight expects {in_c} input channels, got {c}")
+    e, out_c, in_c, kh, kw = weight.shape
+    shared, (n, c, h, w) = _member_input(x, e, in_c)
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError(f"convolution output would be empty for input {x.shape}")
-
-    x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(x_pad, kh, kw, stride)  # (N, C*kh*kw, L)
-    w2 = weight.data.reshape(out_c, -1)  # (out_c, C*kh*kw)
-    out = np.matmul(w2[None, :, :], cols).reshape(n, out_c, out_h, out_w)
-    profiling.record("conv2d", 2 * n * out_c * out_h * out_w * in_c * kh * kw)
-    if bias is not None:
-        out = out + bias.data.reshape(1, out_c, 1, 1)
-        profiling.record("bias", n * out_c * out_h * out_w)
+    k = in_c * kh * kw
+    length = out_h * out_w
+    hp, wp = h + 2 * padding, w + 2 * padding
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    wired = is_grad_enabled() and any(p.requires_grad for p in parents)
+    if not wired:
+        out = _conv2d_nograd(x.data, weight.data,
+                             None if bias is None else bias.data,
+                             stride, padding, out_h, out_w, active_arena())
+    elif shared:
+        cols = _im2col(_pad_spatial(x.data, padding), kh, kw, stride)  # (N, K, L)
+        w2 = weight.data.reshape(e * out_c, k)
+        out = np.matmul(w2[None, :, :], cols)  # (N, E*out_c, L)
+        out = np.ascontiguousarray(
+            out.reshape(n, e, out_c, out_h, out_w).transpose(1, 0, 2, 3, 4)
+        )
+    else:
+        x_pad = _pad_spatial(x.data, padding)
+        cols = _im2col(x_pad.reshape(e * n, c, hp, wp), kh, kw, stride)
+        cols = cols.reshape(e, n, k, length)
+        w2 = weight.data.reshape(e, out_c, k)
+        out = np.matmul(w2[:, None, :, :], cols).reshape(e, n, out_c, out_h, out_w)
+    profiling.record("conv2d", 2 * e * n * out_c * out_h * out_w * in_c * kh * kw)
+    if bias is not None:
+        if wired:
+            # ``out`` is freshly materialised just above (contiguous copy
+            # on the shared path, matmul product on the 5-D path), so the
+            # bias lands in place — no extra full-tensor temporary.
+            out += bias.data.reshape(e, 1, out_c, 1, 1)
+        profiling.record("bias", e * n * out_c * out_h * out_w)
 
     def backward(g: np.ndarray) -> None:
-        g2 = g.reshape(n, out_c, -1)  # (N, out_c, L)
-        if weight.requires_grad:
-            dw = np.einsum("nol,nkl->ok", g2, cols, optimize=True)
-            weight._accumulate(dw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            dcols = np.matmul(w2.T[None, :, :], g2)  # (N, C*kh*kw, L)
-            dx = _col2im(dcols, x.shape, kh, kw, stride, padding, out_h, out_w)
-            x._accumulate(dx)
+            bias._accumulate(g.sum(axis=(1, 3, 4)))
+        if shared:
+            g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3, 4)).reshape(
+                n, e * out_c, length
+            )
+            if weight.requires_grad:
+                dw = np.einsum("nol,nkl->ok", g2, cols, optimize=True)
+                weight._accumulate(dw.reshape(weight.shape))
+            if x.requires_grad:
+                dcols = np.matmul(w2.T[None, :, :], g2)  # (N, K, L)
+                x._accumulate(
+                    _col2im(dcols, x.shape, kh, kw, stride, padding, out_h, out_w)
+                )
+        else:
+            g2 = g.reshape(e, n, out_c, length)
+            if weight.requires_grad:
+                # (E·N, O, L) x (E·N, L, K) batched GEMM, then reduce the
+                # batch axis: ~2x faster than the equivalent einsum, which
+                # falls off the fast BLAS path for this contraction.
+                dw = np.matmul(g2.reshape(e * n, out_c, length),
+                               cols.reshape(e * n, k, length).transpose(0, 2, 1))
+                dw = dw.reshape(e, n, out_c, k).sum(axis=1)
+                weight._accumulate(dw.reshape(weight.shape))
+            if x.requires_grad:
+                dcols = np.matmul(w2.transpose(0, 2, 1)[:, None, :, :], g2)
+                dx = _col2im(
+                    dcols.reshape(e * n, k, length), (e * n, c, h, w),
+                    kh, kw, stride, padding, out_h, out_w,
+                )
+                x._accumulate(dx.reshape(e, n, c, h, w))
 
     return Tensor._make(out, parents, backward)
 
 
-def dilate2d(x: Tensor, stride: int) -> Tensor:
-    """Insert ``stride - 1`` zeros between spatial elements (for transposed conv)."""
-    if stride == 1:
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, (h - 1) * stride + 1, (w - 1) * stride + 1), dtype=x.data.dtype)
-    out[:, :, ::stride, ::stride] = x.data
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(g[:, :, ::stride, ::stride])
-
-    return Tensor._make(out, (x,), backward)
-
-
-def conv_transpose2d(
+def batched_conv_transpose2d(
     x: Tensor,
     weight: Tensor,
     bias: Tensor | None = None,
@@ -131,55 +314,101 @@ def conv_transpose2d(
     padding: int = 0,
     output_padding: int = 0,
 ) -> Tensor:
-    """Transposed 2-D convolution (a.k.a. deconvolution).
+    """Transposed 2-D convolution for E members in one fused pass.
 
-    ``weight`` has shape ``(in_channels, out_channels, kh, kw)`` following the
-    PyTorch convention.  Implemented directly as the adjoint of the strided
-    convolution: one ``(out_c*kh*kw, in_c)`` matmul over the *input*
-    positions followed by a strided col2im scatter — the column buffer is
-    ``stride²`` times smaller than the classic dilate-then-convolve lowering
-    (whose im2col runs over the zero-dilated map), which matters on the
-    fused decoder-training hot path.
+    ``weight`` is ``(E, in_c, out_c, kh, kw)`` (the stacked PyTorch layout).
+    Implemented directly as the adjoint of the strided convolution: one
+    batched matmul over the *input* positions followed by a strided col2im
+    scatter — the column buffer is ``stride²`` times smaller than the
+    classic dilate-then-convolve lowering (whose im2col runs over the
+    zero-dilated map), which matters on the fused decoder-training hot
+    path.  A shared 4-D input is lowered once and all E kernels apply as a
+    single ``(E·out_c·kh·kw, in_c)`` matmul; a per-member 5-D input uses
+    one batched matmul.  Output is ``(E, N, out_c, oh, ow)``.
     """
-    n, c, h, w = x.shape
-    in_c, out_c, kh, kw = weight.shape
-    if c != in_c:
-        raise ValueError(f"weight expects {in_c} input channels, got {c}")
+    e, in_c, out_c, kh, kw = weight.shape
     if padding > kh - 1 or padding > kw - 1:
         raise ValueError("padding must be at most kernel_size - 1")
     if output_padding >= stride:
         raise ValueError("output_padding must be smaller than stride")
+    shared, (n, c, h, w) = _member_input(x, e, in_c)
     out_h = (h - 1) * stride - 2 * padding + kh + output_padding
     out_w = (w - 1) * stride - 2 * padding + kw + output_padding
     k = out_c * kh * kw
     length = h * w
-    x_flat = x.data.reshape(n, c, length)
-    w2 = weight.data.reshape(in_c, k)
-    cols = np.matmul(w2.T[None, :, :], x_flat)  # (N, K, L)
-    out = _col2im(cols, (n, out_c, out_h, out_w), kh, kw, stride, padding, h, w)
-    profiling.record("conv2d", 2 * n * c * k * length)
+    w2 = weight.data.reshape(e, in_c, k)
+
+    if shared:
+        x_flat = x.data.reshape(n, c, length)
+        wt = w2.transpose(0, 2, 1).reshape(e * k, in_c)
+        cols = np.matmul(wt[None, :, :], x_flat)  # (N, E*K, L)
+        cols = np.ascontiguousarray(
+            cols.reshape(n, e, k, length).transpose(1, 0, 2, 3))
+    else:
+        x_flat = x.data.reshape(e, n, c, length)
+        cols = np.matmul(w2.transpose(0, 2, 1)[:, None, :, :], x_flat)  # (E,N,K,L)
+    out = _col2im(cols.reshape(e * n, k, length), (e * n, out_c, out_h, out_w),
+                  kh, kw, stride, padding, h, w).reshape(e, n, out_c, out_h, out_w)
+    profiling.record("conv2d", 2 * e * n * c * k * length)
     if bias is not None:
-        out = out + bias.data.reshape(1, out_c, 1, 1)
-        profiling.record("bias", n * out_c * out_h * out_w)
+        out = out + bias.data.reshape(e, 1, out_c, 1, 1)
+        profiling.record("bias", e * n * out_c * out_h * out_w)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray) -> None:
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
+            bias._accumulate(g.sum(axis=(1, 3, 4)))
         # The im2col windows cover exactly the positions the forward
         # scattered to; the output_padding margin is constant zero, so its
         # incoming gradient is dropped (count stays h*w since op < stride).
-        g_pad = np.pad(g, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        gcols = _im2col(g_pad, kh, kw, stride)  # (N, K, L)
+        g_pad = _pad_spatial(g, padding)
+        gcols = _im2col(g_pad.reshape(e * n, out_c, *g_pad.shape[-2:]),
+                        kh, kw, stride).reshape(e, n, k, length)
         if weight.requires_grad:
-            dw = np.einsum("ncl,nkl->ck", x_flat, gcols, optimize=True)
+            if shared:
+                dw = np.einsum("ncl,enkl->eck", x_flat, gcols, optimize=True)
+            else:
+                dw = np.matmul(x_flat.reshape(e * n, c, length),
+                               gcols.reshape(e * n, k, length).transpose(0, 2, 1))
+                dw = dw.reshape(e, n, c, k).sum(axis=1)
             weight._accumulate(dw.reshape(weight.shape))
         if x.requires_grad:
-            dx = np.matmul(w2[None, :, :], gcols)  # (N, C, L)
-            x._accumulate(dx.reshape(x.shape))
+            dx = np.matmul(w2[:, None, :, :], gcols)  # (E, N, C, L)
+            if shared:
+                x._accumulate(dx.sum(axis=0).reshape(n, c, h, w))
+            else:
+                x._accumulate(dx.reshape(e, n, c, h, w))
 
     return Tensor._make(out, parents, backward)
+
+
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+           stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D convolution (cross-correlation) over NCHW input.
+
+    ``weight`` has shape ``(out_channels, in_channels, kh, kw)``.  The
+    one-member case of :func:`batched_conv2d`.
+    """
+    out = batched_conv2d(x, weight.reshape(1, *weight.shape),
+                         None if bias is None else bias.reshape(1, -1),
+                         stride, padding)
+    return out.reshape(out.shape[1:])
+
+
+def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+                     stride: int = 1, padding: int = 0,
+                     output_padding: int = 0) -> Tensor:
+    """Transposed 2-D convolution (a.k.a. deconvolution).
+
+    ``weight`` has shape ``(in_channels, out_channels, kh, kw)`` following the
+    PyTorch convention.  The one-member case of
+    :func:`batched_conv_transpose2d`.
+    """
+    out = batched_conv_transpose2d(x, weight.reshape(1, *weight.shape),
+                                   None if bias is None else bias.reshape(1, -1),
+                                   stride, padding, output_padding)
+    return out.reshape(out.shape[1:])
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +537,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
-def batch_norm2d(
+def batched_batch_norm2d(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
@@ -318,31 +547,55 @@ def batch_norm2d(
     momentum: float = 0.1,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Batch normalisation over (N, H, W) per channel.
+    """Batch normalisation with per-member affine/statistics ``(E, C)``.
 
-    In training mode batch statistics are used and running statistics are
-    updated in place; in eval mode the running statistics are used.
+    Batch statistics and in-place running-stat updates in training mode,
+    running statistics in eval mode.  A shared 4-D input broadcasts against
+    the per-member parameters, so the output always carries the ensemble
+    axis.
     """
-    profiling.record("batch_norm", 4 * x.size)
+    e, c = gamma.shape
+    shared = x.ndim == 4
+    members = 1 if shared else e
+    profiling.record("batch_norm", 4 * e * (x.size // members))
     if not training:
-        # Fold mean/var/affine into one per-channel scale-and-shift pair, so
-        # the full-size tensor is touched twice instead of four times.
-        # Gradients to gamma/beta flow through the small (C,) precompute.
+        # Eval hot path: fold mean/var/affine into one scale-and-shift pair,
+        # so the full-size tensor is touched twice instead of four times.
+        # Gradients to gamma/beta flow through the small (E, C) precompute,
+        # which takes the input's dtype so float64 gradchecks stay exact.
         dtype = x.data.dtype
         inv_std = Tensor(1.0 / np.sqrt(running_var + eps), dtype=dtype)
         scale = gamma * inv_std
         shift = beta - Tensor(running_mean, dtype=dtype) * scale
-        return x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
-    mean = x.mean(axis=(0, 2, 3), keepdims=True)
-    var = x.var(axis=(0, 2, 3), keepdims=True)
-    batch = x.shape[0] * x.shape[2] * x.shape[3]
+        return x * scale.reshape(e, 1, c, 1, 1) + shift.reshape(e, 1, c, 1, 1)
+    axes = (0, 2, 3) if shared else (1, 3, 4)
+    mean = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    batch = x.size // (members * c)
     unbiased = var.data * batch / max(batch - 1, 1)
+    rows = (1, c) if shared else (e, c)
     running_mean *= 1.0 - momentum
-    running_mean += momentum * mean.data.reshape(-1)
+    running_mean += momentum * mean.data.reshape(rows)
     running_var *= 1.0 - momentum
-    running_var += momentum * unbiased.reshape(-1)
+    running_var += momentum * unbiased.reshape(rows)
     x_hat = (x - mean) / (var + eps).sqrt()
-    return x_hat * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
+    return x_hat * gamma.reshape(e, 1, c, 1, 1) + beta.reshape(e, 1, c, 1, 1)
+
+
+def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                 running_var: np.ndarray, training: bool, momentum: float = 0.1,
+                 eps: float = 1e-5) -> Tensor:
+    """Batch normalisation over (N, H, W) per channel.
+
+    In training mode batch statistics are used and running statistics are
+    updated in place; in eval mode the running statistics are used.  The
+    one-member case of :func:`batched_batch_norm2d`.
+    """
+    # A 1-D buffer reshapes to a view, so the running-stat update lands in it.
+    out = batched_batch_norm2d(x, gamma.reshape(1, -1), beta.reshape(1, -1),
+                               running_mean.reshape(1, -1), running_var.reshape(1, -1),
+                               training, momentum, eps)
+    return out.reshape(x.shape)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:

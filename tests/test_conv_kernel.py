@@ -1,19 +1,21 @@
 """Differential tests for the no-grad conv kernel and the eval max-pool.
 
-:func:`repro.nn.batched.batched_conv2d` runs one cache-blocked kernel
+:func:`repro.nn.functional.batched_conv2d` runs one cache-blocked kernel
 whenever no backward will be wired: it pads, lowers (whole padded rows
 for stride-1 kernels) and multiplies a block of images at a time, with
-scratch from the active arena or freshly allocated.  Checked here over
+scratch from the active arena or freshly allocated.  The per-net
+:func:`repro.nn.functional.conv2d` is its E = 1 case.  Checked here over
 random layer geometries, with the block budget shrunk so that batches
 fall on both sides of a block boundary:
 
 * a NaN-poisoned arena is bit-equal to no arena (the kernel is the
   same, only its scratch moves);
-* the kernel agrees with the per-member looped reference to 1e-5, at
-  the op level and through ``Server(backend="looped")``;
-* the grad path (full columns captured for backward) still matches the
-  looped reference in outputs and gradients, and never touches the
-  arena.
+* every entry point — per-net and stacked, grad and no-grad, shared and
+  per-member input — agrees with the direct-sum reference of
+  :mod:`tests.helpers` (float64 tap loops, no im2col) to 1e-5, at the op
+  level, and the stacked ``Server`` agrees with ``Server(backend="looped")``;
+* the grad path (full columns captured for backward) matches the per-net
+  ops in outputs and gradients, and never touches the arena.
 
 :func:`repro.nn.functional.max_pool2d` without a backward reduces the
 strided tap views with ``np.maximum``; it must be bit-identical to the
@@ -24,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import nn
@@ -34,6 +36,7 @@ from repro.nn import functional as F
 from repro.nn.arena import TensorArena, use_arena
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import new_rng
+from tests.helpers import direct_conv2d
 
 
 def images_per_block_budget(in_c, k, stride, padding, hw, images):
@@ -45,13 +48,10 @@ def images_per_block_budget(in_c, k, stride, padding, hw, images):
 
 
 def looped_conv(x, w, b, stride, padding):
-    """Per-member ``F.conv2d`` reference, stacked to ``(E, N, ...)``."""
-    outs = []
-    for m in range(w.shape[0]):
-        xm = x if x.ndim == 4 else x[m]
-        outs.append(F.conv2d(Tensor(xm), Tensor(w[m]), Tensor(b[m]),
-                             stride, padding).data)
-    return np.stack(outs)
+    """Per-member direct-sum reference, stacked to ``(E, N, ...)``."""
+    return np.stack([direct_conv2d(x if x.ndim == 4 else x[m], w[m], b[m],
+                                   stride, padding)
+                     for m in range(w.shape[0])])
 
 
 geometry = st.fixed_dictionaries({
@@ -91,12 +91,12 @@ class TestNoGradConvKernel:
     def test_arena_is_bit_equal_and_matches_looped(self, g):
         x, w, b, budget = make_case(g)
         s, p = g["stride"], g["padding"]
-        with mock.patch.object(batched, "BLOCK_BYTES", budget), no_grad():
-            plain = batched.batched_conv2d(Tensor(x), Tensor(w), Tensor(b), s, p).data
+        with mock.patch.object(F, "BLOCK_BYTES", budget), no_grad():
+            plain = F.batched_conv2d(Tensor(x), Tensor(w), Tensor(b), s, p).data
             arena = TensorArena()
             for _ in range(2):  # allocate, poison, then run on stale NaNs
                 with use_arena(arena):
-                    pooled = batched.batched_conv2d(
+                    pooled = F.batched_conv2d(
                         Tensor(x), Tensor(w), Tensor(b), s, p).data
                 arena.poison()
         # only a per-member pointwise conv runs without scratch
@@ -112,11 +112,11 @@ class TestNoGradConvKernel:
         s, p = g["stride"], g["padding"]
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
         arena = TensorArena()
-        with mock.patch.object(batched, "BLOCK_BYTES", budget):
+        with mock.patch.object(F, "BLOCK_BYTES", budget):
             with use_arena(arena):
-                out = batched.batched_conv2d(xt, wt, bt, s, p)
+                out = F.batched_conv2d(xt, wt, bt, s, p)
             with no_grad():
-                fast = batched.batched_conv2d(Tensor(x), Tensor(w), Tensor(b), s, p)
+                fast = F.batched_conv2d(Tensor(x), Tensor(w), Tensor(b), s, p)
         assert out.requires_grad and arena.num_buffers == 0
         np.testing.assert_allclose(out.data, fast.data, atol=1e-5)
         upstream = np.random.default_rng(g["seed"] + 1).standard_normal(
@@ -143,13 +143,82 @@ class TestNoGradConvKernel:
         w = Tensor(rng.standard_normal((2, 4, 3, 3, 3)).astype(np.float32))
         arena = TensorArena()
         budget = images_per_block_budget(3, 3, 1, 1, 6, 2)
-        with mock.patch.object(batched, "BLOCK_BYTES", budget), no_grad():
+        with mock.patch.object(F, "BLOCK_BYTES", budget), no_grad():
             for n in (5, 1, 2, 3, 5):
                 x = Tensor(rng.standard_normal((2, n, 3, 6, 6)).astype(np.float32))
                 with use_arena(arena):
-                    batched.batched_conv2d(x, w, None, 1, 1)
+                    F.batched_conv2d(x, w, None, 1, 1)
         assert arena.misses == 3  # pad, cols, mm: allocated once
         assert arena.hits == 4 * 3
+
+
+class RecordingArena(TensorArena):
+    """An arena that remembers every scratch request's tag and shape."""
+
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def take(self, tag, shape, dtype):
+        self.requests.append((tag, tuple(shape)))
+        return super().take(tag, shape, dtype)
+
+
+multi_block = st.fixed_dictionaries({
+    "k": st.sampled_from([1, 2, 3]),
+    "stride": st.sampled_from([1, 2]),
+    "padding": st.sampled_from([0, 1]),
+    "members": st.integers(1, 3),
+    "in_c": st.integers(1, 4),
+    "out_c": st.integers(1, 4),
+    "hw": st.integers(3, 7),
+    "block": st.integers(1, 3),
+    # batch = whole blocks + extra images: one over, two, two plus one
+    "past": st.sampled_from([(1, 1), (2, 0), (2, 1)]),
+    "seed": st.integers(0, 10_000),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=multi_block)
+def test_every_entry_point_matches_direct_reference(g):
+    """``F.conv2d`` with and without grad, and ``batched_conv2d`` on a
+    shared and a per-member input, all stay within 1e-5 of the direct-sum
+    reference while the no-grad calls run over more than one block."""
+    k, s, p, block = g["k"], g["stride"], g["padding"], g["block"]
+    assume(not k == s == 1 or p)  # a pointwise kernel lowers nothing
+    full, extra = g["past"]
+    e, n = g["members"], full * block + extra
+    rng = np.random.default_rng(g["seed"])
+    shared = rng.standard_normal((n, g["in_c"], g["hw"], g["hw"])).astype(np.float32)
+    per_member = rng.standard_normal((e,) + shared.shape).astype(np.float32)
+    w = (0.3 * rng.standard_normal((e, g["out_c"], g["in_c"], k, k))).astype(np.float32)
+    b = rng.standard_normal((e, g["out_c"])).astype(np.float32)
+    arena = RecordingArena()
+    budget = images_per_block_budget(g["in_c"], k, s, p, g["hw"], block)
+    with mock.patch.object(F, "BLOCK_BYTES", budget):
+        with use_arena(arena), no_grad():
+            outs = {"stacked shared": F.batched_conv2d(
+                        Tensor(shared), Tensor(w), Tensor(b), s, p).data,
+                    "stacked per-member": F.batched_conv2d(
+                        Tensor(per_member), Tensor(w), Tensor(b), s, p).data,
+                    "per-net no-grad": np.stack([F.conv2d(
+                        Tensor(per_member[m]), Tensor(w[m]), Tensor(b[m]), s, p).data
+                        for m in range(e)])}
+        graded = [F.conv2d(Tensor(per_member[m], requires_grad=True),
+                           Tensor(w[m], requires_grad=True), Tensor(b[m]), s, p)
+                  for m in range(e)]
+    assert all(out.requires_grad for out in graded)
+    outs["per-net grad"] = np.stack([out.data for out in graded])
+    # one block-shaped cols slot per no-grad call, each smaller than the
+    # batch: more than one block ran (a stale patch target fails here)
+    blocks = [shape[0] for tag, shape in arena.requests if tag == "cols"]
+    assert blocks == [block] * (2 + e) and block < n
+    expected = {"stacked shared": looped_conv(shared, w, b, s, p)}
+    for name in ("stacked per-member", "per-net no-grad", "per-net grad"):
+        expected[name] = looped_conv(per_member, w, b, s, p)
+    for name, out in outs.items():
+        np.testing.assert_allclose(out, expected[name], atol=1e-5, err_msg=name)
 
 
 def make_bodies(num_nets=3):
@@ -172,13 +241,13 @@ def make_bodies(num_nets=3):
     return bodies
 
 
-@pytest.mark.parametrize("block_bytes", [1, 4096, batched.BLOCK_BYTES])
+@pytest.mark.parametrize("block_bytes", [1, 4096, F.BLOCK_BYTES])
 @pytest.mark.parametrize("batch", [1, 5])
 def test_server_matches_looped_backend(block_bytes, batch):
     bodies = make_bodies()
     feats = np.random.default_rng(batch).standard_normal(
         (batch, 3, 12, 12)).astype(np.float32)
-    with mock.patch.object(batched, "BLOCK_BYTES", block_bytes):
+    with mock.patch.object(F, "BLOCK_BYTES", block_bytes):
         fast = Server(bodies).compute(feats)
     slow = Server(bodies, backend="looped").compute(feats)
     for a, b in zip(fast, slow):

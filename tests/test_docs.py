@@ -35,6 +35,20 @@ def test_no_dead_relative_links():
     assert not failures, "\n".join(failures)
 
 
+def test_stale_attribute_reference_with_a_value_is_flagged(tmp_path, monkeypatch):
+    """A reference written with a value, index or expression after the
+    attribute is checked like a bare one."""
+    check_docs = load_check_docs()
+    (tmp_path / "README.md").write_text(
+        "`EnsemblerConfig.backend=\"batched\"` `EnsemblerConfig.stale[0]` "
+        "`EnsemblerConfig.gone == 1` `EnsemblerConfig.num_nets=10` "
+        "`EnsemblerConfig.sigma`\n")
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    failures = check_docs.check_attribute_refs()
+    assert [f.split("`")[1] for f in failures] == [
+        "EnsemblerConfig.backend", "EnsemblerConfig.stale", "EnsemblerConfig.gone"]
+
+
 def test_readme_documents_deadline_ignoring_max_batch():
     """PR 5 drift fix: the scheduler guide must not claim ``max_batch``
     is always honoured — the deadline policy ignores it."""

@@ -31,6 +31,7 @@ from repro.nn.batched import (
 )
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import new_rng
+from tests.helpers import direct_conv2d, direct_conv_transpose2d
 
 rng = np.random.default_rng(77)
 
@@ -74,7 +75,7 @@ class TestBatchedOps:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000), members=st.integers(1, 6))
     def test_batched_conv2d_matches_loop(self, seed, members):
-        """Property: the fused conv equals E independent convs, any E."""
+        """Property: the fused conv equals E independent direct-sum convs, any E."""
         local = np.random.default_rng(seed)
         convs = [nn.Conv2d(3, 5, 3, padding=1, rng=new_rng(seed + i))
                  for i in range(members)]
@@ -83,7 +84,8 @@ class TestBatchedOps:
         out = stacked(x)
         assert out.shape == (members, 2, 5, 6, 6)
         for i, conv in enumerate(convs):
-            np.testing.assert_allclose(out.data[i], conv(x).data, atol=1e-5)
+            np.testing.assert_allclose(out.data[i], direct_conv2d(
+                x.data, conv.weight.data, conv.bias.data, 1, 1), atol=1e-5)
 
     def test_batched_conv2d_per_member_input(self):
         convs = [nn.Conv2d(3, 4, 3, stride=2, padding=1, rng=new_rng(i))
@@ -92,7 +94,8 @@ class TestBatchedOps:
         xs = rng.random((3, 2, 3, 8, 8)).astype(np.float32)
         out = stacked(Tensor(xs))
         for i, conv in enumerate(convs):
-            np.testing.assert_allclose(out.data[i], conv(Tensor(xs[i])).data, atol=1e-5)
+            np.testing.assert_allclose(out.data[i], direct_conv2d(
+                xs[i], conv.weight.data, conv.bias.data, 2, 1), atol=1e-5)
 
     def test_batched_batch_norm_eval_matches_loop(self):
         bns = [nn.BatchNorm2d(4) for _ in range(3)]
@@ -319,7 +322,8 @@ class TestStackedRecalibration:
 
 
 class TestDecoderStackers:
-    """Fused-vs-looped parity for the decoder-topology stacker ops."""
+    """Fused-vs-looped parity for the decoder-topology stacker ops; the
+    conv-transpose outputs are checked against the direct-sum reference."""
 
     def _grads(self, module):
         return [p.grad.copy() for p in module.parameters()]
@@ -332,7 +336,8 @@ class TestDecoderStackers:
         out = stacked(x)
         assert out.shape == (3, 2, 5, 12, 12)
         for i, conv in enumerate(convs):
-            np.testing.assert_allclose(out.data[i], conv(x).data, atol=1e-5)
+            np.testing.assert_allclose(out.data[i], direct_conv_transpose2d(
+                x.data, conv.weight.data, conv.bias.data, 2, 1), atol=1e-5)
 
     def test_stacked_conv_transpose_per_member_gradients(self):
         convs = [nn.ConvTranspose2d(3, 4, 4, stride=2, padding=1, rng=new_rng(i))
@@ -358,7 +363,8 @@ class TestDecoderStackers:
         out = stacked(x)
         assert out.shape == (2, 2, 3, 8, 8)
         for i, conv in enumerate(convs):
-            np.testing.assert_allclose(out.data[i], conv(x).data, atol=1e-5)
+            np.testing.assert_allclose(out.data[i], direct_conv_transpose2d(
+                x.data, conv.weight.data, conv.bias.data, 2, 1, 1), atol=1e-5)
 
     def test_stacked_upsample_and_sigmoid(self):
         ups = stack_modules([nn.UpsampleNearest2d(2) for _ in range(2)])

@@ -114,12 +114,6 @@ class TestConvTranspose2d:
         with pytest.raises(ValueError):
             F.conv_transpose2d(x, w, stride=2, output_padding=2)
 
-    def test_dilate2d(self):
-        x = Tensor(np.arange(4, dtype=np.float64).reshape(1, 1, 2, 2), dtype=np.float64)
-        out = F.dilate2d(x, 2)
-        assert out.shape == (1, 1, 3, 3)
-        np.testing.assert_allclose(out.data[0, 0], [[0, 0, 1], [0, 0, 0], [2, 0, 3]])
-
 
 class TestPooling:
     def test_max_pool_values(self):
