@@ -3,7 +3,12 @@
 Convolution is implemented with the classic im2col/col2im lowering so that the
 heavy lifting happens inside BLAS matmuls; everything else composes existing
 autograd primitives where possible and falls back to hand-written backward
-closures where composition would be wasteful (pooling).
+closures where composition would be wasteful.  The grad-mode hot spots of a
+training step all have one: training-mode batch norm (closed-form backward
+in place of a chain of mean/var/sqrt/divide nodes), max pooling (per-tap
+masks in place of argmax and a scatter) and the stride-1 conv input
+gradient (a conv of the output gradient on the blocked no-grad kernel in
+place of a col2im scatter).
 
 Convolution, transposed convolution and batch norm each have one kernel,
 written for E members stacked on a leading axis (:func:`batched_conv2d`,
@@ -230,7 +235,14 @@ def batched_conv2d(
     requires them) the op runs the cache-blocked kernel of
     :func:`_conv2d_nograd`, with its scratch from the active
     :class:`~repro.nn.arena.TensorArena` if there is one.  Otherwise the
-    full im2col columns are built once and captured for backward.
+    full im2col columns are built once and captured for the weight
+    gradient.  The input gradient of a stride-1 square kernel with
+    padding ≤ k − 1 is the stride-1 conv of the output gradient, padded by
+    k − 1 − p, with the flipped kernels and in/out channels swapped; it
+    runs on :func:`_conv2d_nograd` with fresh scratch (never the arena's),
+    and a shared input folds the E members into the channel axis so one
+    GEMM also sums over members.  Strided kernels scatter with
+    :func:`_col2im`.
     """
     e, out_c, in_c, kh, kw = weight.shape
     shared, (n, c, h, w) = _member_input(x, e, in_c)
@@ -270,6 +282,8 @@ def batched_conv2d(
             out += bias.data.reshape(e, 1, out_c, 1, 1)
         profiling.record("bias", e * n * out_c * out_h * out_w)
 
+    adjoint = stride == 1 and kh == kw and padding <= kh - 1  # see docstring
+
     def backward(g: np.ndarray) -> None:
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(1, 3, 4)))
@@ -280,11 +294,6 @@ def batched_conv2d(
             if weight.requires_grad:
                 dw = np.einsum("nol,nkl->ok", g2, cols, optimize=True)
                 weight._accumulate(dw.reshape(weight.shape))
-            if x.requires_grad:
-                dcols = np.matmul(w2.T[None, :, :], g2)  # (N, K, L)
-                x._accumulate(
-                    _col2im(dcols, x.shape, kh, kw, stride, padding, out_h, out_w)
-                )
         else:
             g2 = g.reshape(e, n, out_c, length)
             if weight.requires_grad:
@@ -295,13 +304,26 @@ def batched_conv2d(
                                cols.reshape(e * n, k, length).transpose(0, 2, 1))
                 dw = dw.reshape(e, n, out_c, k).sum(axis=1)
                 weight._accumulate(dw.reshape(weight.shape))
-            if x.requires_grad:
-                dcols = np.matmul(w2.transpose(0, 2, 1)[:, None, :, :], g2)
-                dx = _col2im(
-                    dcols.reshape(e * n, k, length), (e * n, c, h, w),
-                    kh, kw, stride, padding, out_h, out_w,
-                )
-                x._accumulate(dx.reshape(e, n, c, h, w))
+        if not x.requires_grad:
+            return
+        if adjoint:
+            flipped = weight.data[..., ::-1, ::-1]
+            if shared:  # members fold into channels: one GEMM sums over E
+                wt = flipped.transpose(2, 0, 1, 3, 4).reshape(
+                    1, in_c, e * out_c, kh, kw)
+                g_in = g2.reshape(n, e * out_c, out_h, out_w)
+            else:
+                wt, g_in = flipped.transpose(0, 2, 1, 3, 4), g
+            dx = _conv2d_nograd(g_in, np.ascontiguousarray(wt), None, 1,
+                                kh - 1 - padding, h, w, None)
+        elif shared:
+            dcols = np.matmul(w2.T[None, :, :], g2)  # (N, K, L)
+            dx = _col2im(dcols, x.shape, kh, kw, stride, padding, out_h, out_w)
+        else:
+            dcols = np.matmul(w2.transpose(0, 2, 1)[:, None, :, :], g2)
+            dx = _col2im(dcols.reshape(e * n, k, length), (e * n, c, h, w),
+                         kh, kw, stride, padding, out_h, out_w)
+        x._accumulate(dx.reshape(x.shape))
 
     return Tensor._make(out, parents, backward)
 
@@ -419,11 +441,17 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None, padding: int = 0) -> Tensor:
     """Max pooling over NCHW input; supports overlapping windows.
 
-    When no backward will be wired the ``kh·kw`` strided tap views are
-    reduced with ``np.maximum``: no window array, no argmax.  Taps run
-    last to first because ``np.maximum`` returns its second operand on a
-    tie, so equal-valued ``±0`` resolve to the first tap as argmax does —
-    the output is bit-identical to the grad path's.
+    The ``kh·kw`` strided tap views are reduced with ``np.maximum``, with
+    or without gradients: no window array, no argmax.  Taps run last to
+    first because ``np.maximum`` returns its second operand on a tie, so
+    equal-valued ``±0`` resolve to the first tap as argmax does.
+
+    The backward routes each window's gradient to its first tap equal to
+    the max, or to its first NaN in a window holding one (``np.maximum``
+    propagates NaN), walking the taps in order with a mask of windows
+    still open and adding ``g·mask`` into each tap's strided view.
+    Overlapping windows therefore sum a shared input's contributions tap
+    by tap, not window by window.
     """
     stride = kernel_size if stride is None else stride
     n, c, h, w = x.shape
@@ -439,33 +467,34 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None, padding: 
     else:
         x_pad = x.data
     profiling.record("max_pool", n * c * out_h * out_w * kh * kw)
+
+    def tap(i: int, j: int) -> tuple[slice, slice]:
+        return (slice(i, i + stride * (out_h - 1) + 1, stride),
+                slice(j, j + stride * (out_w - 1) + 1, stride))
+
+    out = None
+    for i in reversed(range(kh)):
+        for j in reversed(range(kw)):
+            view = x_pad[(..., *tap(i, j))]
+            out = view.copy() if out is None else np.maximum(out, view, out=out)
     if not (is_grad_enabled() and x.requires_grad):
-        out = None
-        for i in reversed(range(kh)):
-            for j in reversed(range(kw)):
-                tap = x_pad[:, :, i:i + stride * (out_h - 1) + 1:stride,
-                            j:j + stride * (out_w - 1) + 1:stride]
-                out = tap.copy() if out is None else np.maximum(out, tap, out=out)
         return Tensor(out, dtype=out.dtype)
-    s0, s1, s2, s3 = x_pad.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x_pad,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
-        writeable=False,
-    )
-    flat = windows.reshape(n, c, out_h, out_w, kh * kw)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
     def backward(g: np.ndarray) -> None:
         grad_pad = np.zeros_like(x_pad, dtype=g.dtype)
-        oi, oj = np.meshgrid(np.arange(out_h), np.arange(out_w), indexing="ij")
-        h_idx = oi[None, None] * stride + arg // kw  # (N, C, out_h, out_w)
-        w_idx = oj[None, None] * stride + arg % kw
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        np.add.at(grad_pad, (ni, ci, h_idx, w_idx), g)
+        nan = bool(np.isnan(out).any())
+        # g·mask is ~4x faster than np.where but spreads a non-finite g
+        finite = bool(np.isfinite(g).all())
+        open_ = np.ones(out.shape, dtype=bool)  # windows not yet routed
+        for i in range(kh):
+            for j in range(kw):
+                view = (..., *tap(i, j))
+                first = x_pad[view] == out
+                if nan:  # a NaN window routes to its first NaN
+                    first |= np.isnan(x_pad[view])
+                first &= open_
+                open_ ^= first
+                grad_pad[view] += g * first if finite else np.where(first, g, 0)
         if padding:
             grad_pad = grad_pad[:, :, padding:-padding, padding:-padding]
         x._accumulate(grad_pad)
@@ -553,6 +582,11 @@ def batched_batch_norm2d(
     running statistics in eval mode.  A shared 4-D input broadcasts against
     the per-member parameters, so the output always carries the ensemble
     axis.
+
+    Training mode is one op: the forward keeps x̂ = (x − μ)/σ and σ, and
+    the backward is closed form — dβ = Σg, dγ = Σg·x̂ and, with ĝ = g·γ,
+    dx = (ĝ − mean ĝ − x̂·mean(ĝ·x̂))/σ, where ĝ is summed over E first
+    for a shared input.
     """
     e, c = gamma.shape
     shared = x.ndim == 4
@@ -569,17 +603,45 @@ def batched_batch_norm2d(
         shift = beta - Tensor(running_mean, dtype=dtype) * scale
         return x * scale.reshape(e, 1, c, 1, 1) + shift.reshape(e, 1, c, 1, 1)
     axes = (0, 2, 3) if shared else (1, 3, 4)
-    mean = x.mean(axis=axes, keepdims=True)
-    var = x.var(axis=axes, keepdims=True)
+    mean = x.data.mean(axis=axes, keepdims=True)
+    x_hat = x.data - mean
+    var = (x_hat * x_hat).mean(axis=axes, keepdims=True)
     batch = x.size // (members * c)
-    unbiased = var.data * batch / max(batch - 1, 1)
+    unbiased = var * batch / max(batch - 1, 1)
     rows = (1, c) if shared else (e, c)
     running_mean *= 1.0 - momentum
-    running_mean += momentum * mean.data.reshape(rows)
+    running_mean += momentum * mean.reshape(rows)
     running_var *= 1.0 - momentum
     running_var += momentum * unbiased.reshape(rows)
-    x_hat = (x - mean) / (var + eps).sqrt()
-    return x_hat * gamma.reshape(e, 1, c, 1, 1) + beta.reshape(e, 1, c, 1, 1)
+    std = np.sqrt(var + eps)
+    x_hat /= std
+    out = x_hat * gamma.data.reshape(e, 1, c, 1, 1)
+    out += beta.data.reshape(e, 1, c, 1, 1)
+
+    def backward(g: np.ndarray) -> None:
+        g_sum = g.sum(axis=(1, 3, 4))
+        gx_sum = (g * x_hat).sum(axis=(1, 3, 4))
+        if beta.requires_grad:
+            beta._accumulate(g_sum)
+        if gamma.requires_grad:
+            gamma._accumulate(gx_sum)
+        if not x.requires_grad:
+            return
+        # dx = (ĝ − mean ĝ − x̂·mean(ĝ·x̂)) / σ with ĝ = g·γ; both means
+        # are γ times the (E, C) sums above over the batch count, and 1/σ
+        # folds into the three per-channel coefficients.
+        scale = gamma.data / std.reshape(rows)
+        shift = scale * g_sum / batch
+        slope = scale * gx_sum / batch
+        dx = g * scale.reshape(e, 1, c, 1, 1)
+        if shared:  # x̂ feeds every member: sum ĝ over E first
+            dx = dx.sum(axis=0)
+            shift, slope = shift.sum(axis=0), slope.sum(axis=0)
+        dx -= shift.reshape(std.shape)
+        dx -= x_hat * slope.reshape(std.shape)
+        x._accumulate(dx)
+
+    return Tensor._make(out, (x, gamma, beta), backward)
 
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,

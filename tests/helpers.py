@@ -1,12 +1,20 @@
 """Shared test utilities: finite-difference gradient checking and
-direct-sum convolution references.
+independent references for the conv, pooling and batch-norm kernels.
 
 The conv kernels under test (:func:`repro.nn.functional.batched_conv2d`
 and its E = 1 case :func:`repro.nn.functional.conv2d`, likewise for the
 transposed conv) all share one im2col lowering, so a parity test between
 them checks the stacking but not the lowering.  :func:`direct_conv2d` and
 :func:`direct_conv_transpose2d` are the independent reference: float64
-loops over the kernel taps, no im2col, no col2im, no shared helper.
+loops over the kernel taps, no im2col, no col2im, no shared helper;
+:func:`direct_conv2d_input_grad` is the same loop run as the adjoint.
+
+The grad-mode kernels have references written the other way round from
+the library: :func:`argmax_max_pool2d` picks each window's winner with
+``argmax`` and scatters with ``np.add.at`` (the library reduces tap
+views), and :func:`composed_batch_norm2d_train` builds training-mode
+batch norm from autograd primitives (the library's backward is closed
+form).
 """
 
 from __future__ import annotations
@@ -97,3 +105,93 @@ def direct_conv_transpose2d(x, weight, bias=None, stride: int = 1, padding: int 
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.float64)[None, :, None, None]
     return out
+
+
+def direct_conv2d_input_grad(upstream, weight, x_shape, stride: int = 1,
+                             padding: int = 0) -> np.ndarray:
+    """Gradient of :func:`direct_conv2d` w.r.t. its NCHW input of shape
+    ``x_shape``: every output gradient scatters its tap-weighted copy back
+    over the window it read, in float64."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    weight = np.asarray(weight, dtype=np.float64)
+    n, c, h, w = x_shape
+    _, _, kh, kw = weight.shape
+    _, _, out_h, out_w = upstream.shape
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    for i in range(kh):
+        for j in range(kw):
+            padded[:, :, i:i + stride * (out_h - 1) + 1:stride,
+                   j:j + stride * (out_w - 1) + 1:stride] += np.einsum(
+                       "nohw,oc->nchw", upstream, weight[:, :, i, j])
+    return padded[:, :, padding:padding + h, padding:padding + w]
+
+
+def argmax_max_pool2d(x, kernel_size: int, stride: int | None = None,
+                      padding: int = 0, upstream=None):
+    """Max pooling of NCHW ``x`` by window ``argmax`` (the first maximum,
+    or the first NaN of a window holding one), and the gradient that routes
+    ``upstream`` to each window's winner with ``np.add.at``.
+
+    Returns ``(out, grad)``; ``grad`` is ``None`` without ``upstream``.
+    """
+    x = np.asarray(x)
+    stride = kernel_size if stride is None else stride
+    n, c, h, w = x.shape
+    kh = kw = kernel_size
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    if padding:
+        x_pad = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                       constant_values=-np.inf)
+    else:
+        x_pad = x
+    s0, s1, s2, s3 = x_pad.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x_pad,
+        shape=(n, c, out_h, out_w, kh, kw),
+        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+        writeable=False,
+    )
+    flat = windows.reshape(n, c, out_h, out_w, kh * kw)
+    arg = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    if upstream is None:
+        return out, None
+    upstream = np.asarray(upstream)
+    grad_pad = np.zeros_like(x_pad, dtype=upstream.dtype)
+    oi, oj = np.meshgrid(np.arange(out_h), np.arange(out_w), indexing="ij")
+    h_idx = oi[None, None] * stride + arg // kw  # (N, C, out_h, out_w)
+    w_idx = oj[None, None] * stride + arg % kw
+    ni = np.arange(n)[:, None, None, None]
+    ci = np.arange(c)[None, :, None, None]
+    np.add.at(grad_pad, (ni, ci, h_idx, w_idx), upstream)
+    if padding:
+        grad_pad = grad_pad[:, :, padding:-padding, padding:-padding]
+    return out, grad_pad
+
+
+def composed_batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
+                                running_mean: np.ndarray, running_var: np.ndarray,
+                                momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """Training-mode stacked batch norm composed of autograd primitives.
+
+    Same contract as ``batched_batch_norm2d(..., training=True)``: ``(E, C)``
+    affine parameters and running statistics (updated in place), a shared
+    4-D or per-member 5-D input, an ``(E, N, C, H, W)`` output.  The
+    gradient is whatever the tape of mean, var, sqrt and divide yields.
+    """
+    e, c = gamma.shape
+    shared = x.ndim == 4
+    members = 1 if shared else e
+    axes = (0, 2, 3) if shared else (1, 3, 4)
+    mean = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    batch = x.size // (members * c)
+    unbiased = var.data * batch / max(batch - 1, 1)
+    rows = (1, c) if shared else (e, c)
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean.data.reshape(rows)
+    running_var *= 1.0 - momentum
+    running_var += momentum * unbiased.reshape(rows)
+    x_hat = (x - mean) / (var + eps).sqrt()
+    return x_hat * gamma.reshape(e, 1, c, 1, 1) + beta.reshape(e, 1, c, 1, 1)

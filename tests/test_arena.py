@@ -10,7 +10,10 @@ change can never serve a stale view — is enforced here adversarially:
   outputs must stay byte-identical to the no-arena reference (a single
   leaked arena element would surface as NaN);
 * **invalidation** — alternate coalesce keys across ticks; every slot
-  re-allocates on mismatch and still serves reference outputs.
+  re-allocates on mismatch and still serves reference outputs;
+* **training** — a stacked grad-mode step inside a poisoned arena takes
+  no scratch from it, forward or backward, and its gradients are
+  bit-equal to the same step run without one.
 """
 
 import numpy as np
@@ -18,7 +21,9 @@ import pytest
 
 from repro import nn
 from repro.ci.pipeline import Client, Server
+from repro.models.resnet import ResNet, ResNetConfig
 from repro.nn.arena import TensorArena, active_arena, use_arena
+from repro.nn.batched import batched_cross_entropy, stack_modules
 from repro.nn.tensor import Tensor, no_grad
 from repro.serving.service import InferenceService
 from repro.utils.rng import new_rng
@@ -215,3 +220,39 @@ class TestArenaServiceIntegration:
             for a, b in zip(sess.result(rid), ref_maps):
                 np.testing.assert_array_equal(a, b)
 
+
+def make_stacked_resnets(num_nets: int = 3):
+    """Stacked training-mode ResNets: a padded 3x3 head with max-pool, a
+    stride-1 and a stride-2 stage, batch norm throughout."""
+    config = ResNetConfig(num_classes=4, in_channels=3, stem_channels=4,
+                          stage_channels=(4, 6), blocks_per_stage=(1, 1),
+                          use_maxpool=True)
+    stacked = stack_modules([ResNet(config, rng=new_rng(90 + i))
+                             for i in range(num_nets)])
+    return stacked.train(True)
+
+
+class TestArenaTrainingStep:
+    def test_poisoned_arena_leaves_training_step_bit_equal(self):
+        rng = np.random.default_rng(18)
+        images = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+        labels = rng.integers(0, 4, (3, 4))
+        arena = TensorArena()
+        grads = []
+        for pool in (arena, None):
+            stacked = make_stacked_resnets()
+            with use_arena(pool):
+                with no_grad():  # fills the arena with this model's slots
+                    stacked(Tensor(images))
+                arena.poison()
+                taken = (arena.hits, arena.misses)
+                # a shared input with a gradient, as in attack input
+                # optimisation, so the first conv's input gradient runs too
+                x = Tensor(images, requires_grad=True)
+                batched_cross_entropy(stacked(x), labels).sum().backward()
+                assert (arena.hits, arena.misses) == taken
+            grads.append([x.grad] + [p.grad for p in stacked.parameters()])
+        assert arena.num_buffers > 0
+        for pooled, plain in zip(*grads):
+            assert np.isfinite(pooled).all()
+            np.testing.assert_array_equal(pooled, plain)

@@ -17,9 +17,10 @@ fall on both sides of a block boundary:
 * the grad path (full columns captured for backward) matches the per-net
   ops in outputs and gradients, and never touches the arena.
 
-:func:`repro.nn.functional.max_pool2d` without a backward reduces the
-strided tap views with ``np.maximum``; it must be bit-identical to the
-argmax path, NaNs and signed zeros included.
+:func:`repro.nn.functional.max_pool2d` reduces the strided tap views
+with ``np.maximum`` in grad and no-grad mode alike; both must be
+bit-identical to the window-argmax reference of :mod:`tests.helpers`,
+NaNs and signed zeros included.
 """
 
 from unittest import mock
@@ -36,7 +37,7 @@ from repro.nn import functional as F
 from repro.nn.arena import TensorArena, use_arena
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import new_rng
-from tests.helpers import direct_conv2d
+from tests.helpers import argmax_max_pool2d, direct_conv2d
 
 
 def images_per_block_budget(in_c, k, stride, padding, hw, images):
@@ -258,7 +259,7 @@ class TestEvalMaxPool:
     @staticmethod
     def both_paths(x, kernel, stride, padding, op=F.max_pool2d):
         graded = op(Tensor(x, requires_grad=True), kernel, stride, padding)
-        assert graded.requires_grad  # the argmax path wired its backward
+        assert graded.requires_grad  # the backward is wired
         with no_grad():
             fast = op(Tensor(x), kernel, stride, padding)
         assert not fast.requires_grad
@@ -275,6 +276,8 @@ class TestEvalMaxPool:
                                  (2, 2, 1), (3, 1, 1)]),
            hw=st.integers(4, 9), nan=st.booleans(), zeros=st.booleans())
     def test_bit_identical_to_argmax_path(self, seed, case, hw, nan, zeros):
+        """Both modes share one forward, so each is checked against the
+        independent window-argmax reference, not against the other."""
         kernel, stride, padding = case
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((2, 3, hw, hw + 1)).astype(np.float32)
@@ -284,20 +287,23 @@ class TestEvalMaxPool:
             x[x > 0] *= -1
         if nan:
             x[rng.random(x.shape) < 0.1] = np.nan
-        self.assert_bits_equal(*self.both_paths(x, kernel, stride, padding))
+        expected, _ = argmax_max_pool2d(x, kernel, stride, padding)
+        for out in self.both_paths(x, kernel, stride, padding):
+            self.assert_bits_equal(out, expected)
 
     def test_padding_fills_with_negative_infinity(self):
         x = -np.ones((1, 1, 3, 3), dtype=np.float32)
-        fast, graded = self.both_paths(x, 3, 2, 1)
-        self.assert_bits_equal(fast, graded)
-        assert (fast == -1).all()
+        for out in self.both_paths(x, 3, 2, 1):
+            self.assert_bits_equal(out, argmax_max_pool2d(x, 3, 2, 1)[0])
+            assert (out == -1).all()
 
     def test_stacked_pool_is_bit_identical(self):
         x = np.random.default_rng(7).standard_normal(
             (3, 2, 4, 6, 6)).astype(np.float32)
         x[0, 0, 0, :2, :2] = np.nan
-        self.assert_bits_equal(
-            *self.both_paths(x, 3, 2, 1, op=batched.batched_max_pool2d))
+        expected, _ = argmax_max_pool2d(x.reshape(6, 4, 6, 6), 3, 2, 1)
+        for out in self.both_paths(x, 3, 2, 1, op=batched.batched_max_pool2d):
+            self.assert_bits_equal(out, expected.reshape(out.shape))
 
     def test_grad_mode_routes_gradient_to_first_max(self):
         x = np.array([[[[1.0, 3.0, 3.0, 0.0],
