@@ -40,7 +40,7 @@ class ShadowHead(nn.Module):
         self.bn3 = nn.BatchNorm2d(channels)
 
     def forward(self, x):
-        out = self.pool(self.bn1(self.conv1(x)).relu())
+        out = self.pool(self.bn1(self.conv1(x))).relu()
         out = self.bn2(self.conv2(out)).relu()
         return self.bn3(self.conv3(out)).relu()
 
@@ -66,7 +66,7 @@ class StackedShadowHead(batched.StackedModule):
         self.bn3 = batched.stack_modules([h.bn3 for h in heads])
 
     def forward(self, x):
-        out = self.pool(self.bn1(self.conv1(x)).relu())
+        out = self.pool(self.bn1(self.conv1(x))).relu()
         out = self.bn2(self.conv2(out)).relu()
         return self.bn3(self.conv3(out)).relu()
 

@@ -176,7 +176,7 @@ def _fold_spatial(x: Tensor, op: Callable[[Tensor], Tensor]) -> Tensor:
 def batched_max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
                        padding: int = 0) -> Tensor:
     """Max pooling over ``(E, N, C, H, W)`` (or shared NCHW) input."""
-    return _fold_spatial(x, lambda t: F.max_pool2d(t, kernel_size, stride, padding))
+    return F.max_pool2d(x, kernel_size, stride, padding)
 
 
 def batched_avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,

@@ -6,6 +6,18 @@ returns a new tensor carrying references to its parents and a closure that
 propagates the output gradient to each parent.  :meth:`Tensor.backward`
 topologically sorts the tape and runs the closures in reverse.
 
+The tape owns every gradient it passes around.  ``_accumulate`` adopts a
+first gradient that the op built fresh and copies only a borrowed one: the
+incoming gradient handed on unchanged (``+`` hands it to both parents,
+``concat`` hands out slices) or a view of it (``reshape``, ``transpose``,
+``pad``), and a non-contiguous array, so every gradient is C-ordered.
+Leaves (parameters and inputs) keep their ``.grad``; a non-leaf's ``.grad``
+is taken from it as its closure runs, so after ``backward()`` it is
+``None`` and the closure owns the array outright: ReLU masks it in place
+and training batch norm builds its input gradient in it.  A closure never
+writes to an array it captured in the forward, so ``backward()`` can run
+twice on one graph and accumulates into the leaves each time.
+
 Only the features needed by the paper's models are implemented, but those are
 implemented fully: broadcasting-aware arithmetic, matmul, reductions, shape
 ops, and indexing.  Convolution, pooling and normalisation live in
@@ -107,15 +119,27 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's gradient buffer."""
+    def _accumulate(self, grad: np.ndarray, borrowed: bool = False) -> None:
+        """Add ``grad`` into this tensor's gradient buffer.
+
+        A first gradient is adopted: the caller hands over an array that
+        nothing else holds.  ``borrowed`` marks one that something else
+        still holds (the incoming gradient handed on as is, or a view of
+        it); it is copied, unless the dtype cast or the broadcast
+        reduction has already made a fresh array.  A non-contiguous one
+        (a cropped or transposed view) is copied too, so every gradient is
+        C-ordered and a reduction over it sums in the same order whichever
+        op built it.
+        """
         if not self.requires_grad:
             return
-        grad = _sum_to_shape(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
+        owned = _sum_to_shape(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
+        if self.grad is not None:
+            self.grad += owned
+        elif (borrowed and np.may_share_memory(owned, grad)) or not owned.flags.c_contiguous:
+            self.grad = owned.copy()
         else:
-            self.grad += grad
+            self.grad = owned
 
     # ------------------------------------------------------------------
     # Basic protocol
@@ -185,12 +209,21 @@ class Tensor:
         if gradient is None:
             gradient = np.ones_like(self.data)
         else:
-            gradient = np.asarray(gradient, dtype=self.data.dtype)
+            gradient = np.array(gradient, dtype=self.data.dtype)  # the tape's own
             if gradient.shape != self.data.shape:
                 raise ValueError(
                     f"gradient shape {gradient.shape} does not match tensor shape {self.data.shape}"
                 )
 
+        self._accumulate(gradient)
+        for node in reversed(self._topological_order()):
+            if node._backward is not None and node.grad is not None:
+                # the closure takes the gradient over and may consume it
+                grad, node.grad = node.grad, None
+                node._backward(grad)
+
+    def _topological_order(self) -> list["Tensor"]:
+        """Every tensor this one was computed from, parents first."""
         order: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -206,11 +239,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-
-        self._accumulate(gradient)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        return order
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -225,7 +254,7 @@ class Tensor:
 
         def backward(g):
             a._accumulate(g)
-            b._accumulate(g)
+            b._accumulate(g, borrowed=True)  # ``a`` may have adopted ``g``
 
         return Tensor._make(a.data + b.data, (a, b), backward)
 
@@ -346,8 +375,9 @@ class Tensor:
         a = self
 
         def backward(g):
-            # Mask computed lazily: inference never pays for it.
-            a._accumulate(g * (a.data > 0))
+            # Mask computed lazily: inference never pays for it.  The tape
+            # hands over ``g`` for good, so it is masked in place.
+            a._accumulate(np.multiply(g, a.data > 0, out=g))
 
         return Tensor._make(np.maximum(a.data, 0.0), (a,), backward)
 
@@ -376,7 +406,7 @@ class Tensor:
             grad = np.asarray(g)
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis=axis)
-            a._accumulate(np.broadcast_to(grad, a.data.shape))
+            a._accumulate(np.broadcast_to(grad, a.data.shape), borrowed=True)
 
         return Tensor._make(out_data, (a,), backward)
 
@@ -389,7 +419,7 @@ class Tensor:
             grad = np.asarray(g) / count
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis=axis)
-            a._accumulate(np.broadcast_to(grad, a.data.shape))
+            a._accumulate(np.broadcast_to(grad, a.data.shape), borrowed=True)
 
         return Tensor._make(out_data, (a,), backward)
 
@@ -426,7 +456,8 @@ class Tensor:
         a = self
         old_shape = a.data.shape
         return Tensor._make(
-            a.data.reshape(shape), (a,), lambda g: a._accumulate(g.reshape(old_shape))
+            a.data.reshape(shape), (a,),
+            lambda g: a._accumulate(g.reshape(old_shape), borrowed=True),
         )
 
     def flatten(self, start_dim: int = 1) -> "Tensor":
@@ -441,7 +472,8 @@ class Tensor:
             axes = tuple(axes[0])
         inverse = np.argsort(axes)
         return Tensor._make(
-            a.data.transpose(axes), (a,), lambda g: a._accumulate(g.transpose(inverse))
+            a.data.transpose(axes), (a,),
+            lambda g: a._accumulate(g.transpose(inverse), borrowed=True),
         )
 
     def __getitem__(self, index) -> "Tensor":
@@ -461,7 +493,7 @@ class Tensor:
 
         def backward(g):
             slices = tuple(slice(lo, g.shape[i] - hi) for i, (lo, hi) in enumerate(widths))
-            a._accumulate(g[slices])
+            a._accumulate(g[slices], borrowed=True)
 
         return Tensor._make(np.pad(a.data, widths), (a,), backward)
 
@@ -480,7 +512,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         for tensor, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             index = [slice(None)] * g.ndim
             index[axis] = slice(lo, hi)
-            tensor._accumulate(g[tuple(index)])
+            tensor._accumulate(g[tuple(index)], borrowed=True)
 
     return Tensor._make(data, tensors, backward)
 

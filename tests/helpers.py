@@ -7,7 +7,8 @@ transposed conv) all share one im2col lowering, so a parity test between
 them checks the stacking but not the lowering.  :func:`direct_conv2d` and
 :func:`direct_conv_transpose2d` are the independent reference: float64
 loops over the kernel taps, no im2col, no col2im, no shared helper;
-:func:`direct_conv2d_input_grad` is the same loop run as the adjoint.
+:func:`direct_conv2d_input_grad` and :func:`direct_conv2d_weight_grad`
+are the same loop run as the two adjoints.
 
 The grad-mode kernels have references written the other way round from
 the library: :func:`argmax_max_pool2d` picks each window's winner with
@@ -15,13 +16,20 @@ the library: :func:`argmax_max_pool2d` picks each window's winner with
 views), and :func:`composed_batch_norm2d_train` builds training-mode
 batch norm from autograd primitives (the library's backward is closed
 form).
+
+:func:`reference_backward` is the tape without ownership: it copies every
+first gradient, keeps every ``.grad`` and hands each closure a copy, so a
+closure that consumes its gradient in place or a gradient adopted without
+a copy cannot change what it computes.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, _sum_to_shape
 
 
 def numerical_grad(fn, tensor: Tensor, eps: float = 1e-5) -> np.ndarray:
@@ -126,6 +134,26 @@ def direct_conv2d_input_grad(upstream, weight, x_shape, stride: int = 1,
     return padded[:, :, padding:padding + h, padding:padding + w]
 
 
+def direct_conv2d_weight_grad(upstream, x, kernel_size: int, stride: int = 1,
+                              padding: int = 0) -> np.ndarray:
+    """Gradient of :func:`direct_conv2d` w.r.t. its ``(out_c, in_c, k, k)``
+    weights: each tap correlates ``upstream`` with the input window it
+    read, summed over the batch and the output positions in float64."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    n, c, h, w = x.shape
+    _, out_c, out_h, out_w = upstream.shape
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    padded[:, :, padding:padding + h, padding:padding + w] = x
+    grad = np.zeros((out_c, c, kernel_size, kernel_size))
+    for i in range(kernel_size):
+        for j in range(kernel_size):
+            tap = padded[:, :, i:i + stride * (out_h - 1) + 1:stride,
+                         j:j + stride * (out_w - 1) + 1:stride]
+            grad[:, :, i, j] = np.einsum("nohw,nchw->oc", upstream, tap)
+    return grad
+
+
 def argmax_max_pool2d(x, kernel_size: int, stride: int | None = None,
                       padding: int = 0, upstream=None):
     """Max pooling of NCHW ``x`` by window ``argmax`` (the first maximum,
@@ -195,3 +223,27 @@ def composed_batch_norm2d_train(x: Tensor, gamma: Tensor, beta: Tensor,
     running_var += momentum * unbiased.reshape(rows)
     x_hat = (x - mean) / (var + eps).sqrt()
     return x_hat * gamma.reshape(e, 1, c, 1, 1) + beta.reshape(e, 1, c, 1, 1)
+
+
+def reference_backward(root: Tensor, gradient=None) -> None:
+    """Backpropagate ``root`` the way a tape that owns nothing does.
+
+    Every first gradient a tensor receives is copied, every tensor keeps
+    its ``.grad`` (non-leaves too), and each closure runs on a copy of its
+    node's gradient.  The closures run in :meth:`Tensor.backward`'s order,
+    so leaf gradients must come out bit-equal to it.
+    """
+    def accumulate(self, grad, borrowed=False):
+        if not self.requires_grad:
+            return
+        grad = _sum_to_shape(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
+        if self.grad is None:
+            self.grad = grad.copy()
+        else:
+            self.grad += grad
+
+    with mock.patch.object(Tensor, "_accumulate", accumulate):
+        root._accumulate(np.ones_like(root.data) if gradient is None else gradient)
+        for node in reversed(root._topological_order()):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad.copy())

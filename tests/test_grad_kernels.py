@@ -7,14 +7,17 @@ reference in :mod:`tests.helpers` that computes the same thing another way:
   gradient with per-tap masks; :func:`tests.helpers.argmax_max_pool2d`
   takes the window ``argmax`` and scatters with ``np.add.at``.  Outputs
   must be bit-equal in grad and no-grad mode; gradients bit-equal where
-  windows do not overlap and within 1e-6 of the gradient's scale where
-  they do (the two sum a shared input's contributions in different order).
+  windows do not overlap (signed zeros included) and within 1e-6 of the
+  gradient's scale where they do (the two sum a shared input's contributions in different order).
 * :func:`repro.nn.functional.batched_batch_norm2d` in training mode has a
   closed-form backward; :func:`tests.helpers.composed_batch_norm2d_train`
   lets the tape differentiate mean, var, sqrt and divide.
 * :func:`repro.nn.functional.batched_conv2d` computes a stride-1 input
   gradient as a conv of the output gradient on the blocked no-grad kernel;
-  :func:`tests.helpers.direct_conv2d_input_grad` scatters tap by tap.
+  :func:`tests.helpers.direct_conv2d_input_grad` scatters tap by tap.  Its
+  weight gradient re-lowers the input in the backward, as one GEMM over
+  the batch or as per-image GEMMs; :func:`tests.helpers.
+  direct_conv2d_weight_grad` correlates tap by tap.
 """
 
 from functools import partial
@@ -31,6 +34,7 @@ from tests.helpers import (
     assert_gradients_close,
     composed_batch_norm2d_train,
     direct_conv2d_input_grad,
+    direct_conv2d_weight_grad,
     rand_tensor,
 )
 
@@ -75,8 +79,9 @@ class TestMaxPoolGrad:
             assert out.dtype == expected.dtype and out.shape == expected.shape
             np.testing.assert_array_equal(out.view(np.uint32),
                                           expected.view(np.uint32))
-        if stride in (None, kernel):
-            np.testing.assert_array_equal(xt.grad, expected_grad)
+        if stride in (None, kernel):  # bit for bit, signed zeros included
+            np.testing.assert_array_equal(xt.grad.view(np.uint32),
+                                          expected_grad.view(np.uint32))
         else:
             assert_close_to_scale(xt.grad, expected_grad, 1e-6)
 
@@ -205,3 +210,29 @@ class TestConvInputGrad:
                  for m in range(e)]
         expected = sum(grads) if g["shared"] else np.stack(grads)
         np.testing.assert_allclose(xt.grad, expected, rtol=1e-5, atol=1e-5)
+
+
+class TestConvWeightGrad:
+    """Both forms of the weight gradient — one GEMM over the batch where an
+    image has at most half as many output positions as a column has taps,
+    per-image GEMMs elsewhere — against the direct correlation."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shared=st.booleans(), k=st.sampled_from([1, 2, 3]), stride=st.sampled_from([1, 2]),
+           padding=st.integers(0, 2), members=st.integers(1, 3), in_c=st.integers(1, 8),
+           out_c=st.integers(1, 4), hw=st.integers(3, 8), seed=st.integers(0, 10_000))
+    def test_matches_direct_correlation(self, shared, k, stride, padding, members, in_c,
+                                        out_c, hw, seed):
+        p = min(padding, k - 1)
+        rng = np.random.default_rng(seed)
+        lead = (3,) if shared else (members, 3)
+        x = rng.standard_normal(lead + (in_c, hw, hw)).astype(np.float32)
+        w = (0.3 * rng.standard_normal((members, out_c, in_c, k, k))).astype(np.float32)
+        wt = Tensor(w, requires_grad=True)
+        out = F.batched_conv2d(Tensor(x), wt, None, stride, p)
+        upstream = rng.standard_normal(out.shape).astype(np.float32)
+        out.backward(upstream)
+        for m in range(members):
+            expected = direct_conv2d_weight_grad(upstream[m], x if shared else x[m],
+                                                 k, stride, p)
+            assert_close_to_scale(wt.grad[m], expected, 1e-5)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import nn
 from repro.models import (
@@ -16,6 +18,8 @@ from repro.models import (
     resnet10,
     resnet18,
 )
+from repro.nn import functional as F
+from repro.nn.batched import stack_modules
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import new_rng
 
@@ -196,3 +200,61 @@ class TestShadow:
         config = tiny_config()
         tail = build_shadow_tail(config, in_multiplier=3, rng=new_rng(0))
         assert tail.weight.shape == (config.num_classes, 3 * config.feature_dim)
+
+
+class TestHeadReluAfterPool:
+    """The ResNet and shadow heads apply their first ReLU after the
+    max-pool, on a 4x smaller map.  Max and ReLU commute exactly, so the
+    outputs are bit-equal (sign bits included) to the relu-then-pool
+    order and the gradients equal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), zeros=st.booleans(), nan=st.booleans())
+    def test_pool_and_relu_commute(self, seed, zeros, nan):
+        local = np.random.default_rng(seed)
+        x = local.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        if zeros:  # ties, and ±0 on both sides of the ReLU
+            x[local.random(x.shape) < 0.4] = 0.0
+            x[local.random(x.shape) < 0.3] = -0.0
+        if nan:
+            x[local.random(x.shape) < 0.1] = np.nan
+        upstream = local.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        results = []
+        for order in (lambda t: F.max_pool2d(t, 2).relu(),
+                      lambda t: F.max_pool2d(t.relu(), 2)):
+            xt = Tensor(x, requires_grad=True)
+            out = order(xt)
+            out.backward(upstream)
+            results.append((out.data, xt.grad))
+        (new, new_grad), (old, old_grad) = results
+        np.testing.assert_array_equal(new.view(np.uint32), old.view(np.uint32))
+        np.testing.assert_array_equal(new_grad, old_grad)
+
+    @pytest.mark.parametrize("shadow", [False, True])
+    def test_heads_match_relu_then_pool(self, shadow):
+        config = tiny_config()
+        heads = [ShadowHead(config, rng=new_rng(i)) if shadow
+                 else ResNet(config, rng=new_rng(i)).head for i in range(2)]
+
+        def relu_then_pool(head, x):
+            if not shadow:
+                return head.pool(head.bn(head.conv(x)).relu())
+            out = head.pool(head.bn1(head.conv1(x)).relu())
+            out = head.bn2(head.conv2(out)).relu()
+            return head.bn3(head.conv3(out)).relu()
+
+        x = image_batch(4)
+        for module in (heads[0], stack_modules(heads)):
+            module.train()
+            runs = []
+            for forward in (module, lambda t: relu_then_pool(module, t)):
+                for param in module.parameters():
+                    param.grad = None
+                out = forward(x)
+                out.backward(np.random.default_rng(0).standard_normal(out.shape)
+                             .astype(np.float32))
+                runs.append((out.data, [param.grad for param in module.parameters()]))
+            (new, new_grads), (old, old_grads) = runs
+            np.testing.assert_array_equal(new.view(np.uint32), old.view(np.uint32))
+            for new_grad, old_grad in zip(new_grads, old_grads):
+                np.testing.assert_array_equal(new_grad, old_grad)

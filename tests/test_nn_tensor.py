@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
+from repro.nn import functional as F
 from repro.nn.tensor import Tensor, concat, no_grad, stack, where
-from tests.helpers import assert_gradients_close, rand_tensor
+from tests.helpers import assert_gradients_close, rand_tensor, reference_backward
 
 rng = np.random.default_rng(1234)
 
@@ -302,3 +303,120 @@ def test_property_sum_of_parts_equals_whole(seed):
     whole = t.sum().item()
     parts = t[:3].sum().item() + t[3:].sum().item()
     assert whole == pytest.approx(parts, rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# The tape contract: adopted and freed gradients change no leaf gradient
+# ----------------------------------------------------------------------
+SHAPE = (2, 3, 4, 4)
+
+#: shape-preserving ops over (2, 3, 4, 4) tensors; ``p`` holds the leaf
+#: parameters and the batch-norm running statistics
+GRAPH_OPS = {
+    "add": lambda a, b, p: a + b,
+    "sub": lambda a, b, p: a - b,
+    "mul": lambda a, b, p: a * b,
+    "relu": lambda a, b, p: a.relu(),
+    "reshape": lambda a, b, p: a.reshape(2, -1).reshape(SHAPE),
+    "transpose": lambda a, b, p: a.transpose(0, 2, 3, 1).transpose(0, 3, 1, 2),
+    "concat": lambda a, b, p: (lambda c: c[:, :3] * c[:, 3:])(concat([a, b], axis=1)),
+    "stack": lambda a, b, p: stack([a, b]).sum(axis=0),
+    "getitem": lambda a, b, p: a[:, ::-1],
+    "conv": lambda a, b, p: F.conv2d(a, p["weight"], padding=1),
+    "stacked_conv": lambda a, b, p: F.batched_conv2d(a, p["stacked"], padding=1).mean(axis=0),
+    "strided": lambda a, b, p: F.conv_transpose2d(
+        F.conv2d(a, p["weight"], stride=2, padding=1), p["weight_t"], p["bias"],
+        stride=2, padding=1, output_padding=1),
+    "batch_norm": lambda a, b, p: F.batch_norm2d(a, p["gamma"], p["beta"], *p["running"],
+                                                 training=True),
+    "stacked_batch_norm": lambda a, b, p: F.batched_batch_norm2d(
+        stack([a, b]), p["gammas"], p["betas"], *p["stacked_running"],
+        training=True).mean(axis=0),
+    "pool": lambda a, b, p: F.upsample_nearest2d(F.max_pool2d(a, 2), 2),
+}
+
+
+def build_graph(seed, ops):
+    """Leaves, non-leaf nodes and the scalar loss of a random graph."""
+    rng = np.random.default_rng(seed)
+
+    def leaf(*shape, scale=1.0):
+        return Tensor((scale * rng.standard_normal(shape)).astype(np.float32),
+                      requires_grad=True)
+
+    x0, x1 = leaf(*SHAPE), leaf(*SHAPE)
+    params = {"weight": leaf(3, 3, 3, 3, scale=0.3), "weight_t": leaf(3, 3, 3, 3, scale=0.3),
+              "stacked": leaf(2, 3, 3, 3, 3, scale=0.3), "bias": leaf(3),
+              "gamma": leaf(3), "beta": leaf(3), "gammas": leaf(2, 3), "betas": leaf(2, 3),
+              "running": (np.zeros(3, np.float32), np.ones(3, np.float32)),
+              "stacked_running": (np.zeros((2, 3), np.float32), np.ones((2, 3), np.float32))}
+    nodes = [x0, x1]
+    for name, i, j in ops:
+        nodes.append(GRAPH_OPS[name](nodes[i % len(nodes)], nodes[j % len(nodes)], params))
+    weights = [Tensor(rng.standard_normal(SHAPE).astype(np.float32)) for _ in nodes[2:]]
+    loss = sum((node * w).sum() for node, w in zip(nodes[2:], weights))
+    leaves = [x0, x1] + [v for v in params.values() if isinstance(v, Tensor)]
+    return leaves, loss
+
+
+def leaf_grads(leaves):
+    return [None if t.grad is None else t.grad.copy() for t in leaves]
+
+
+def assert_bit_equal(actual, expected):
+    for a, b in zip(actual, expected):
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+graph_ops = st.lists(st.tuples(st.sampled_from(sorted(GRAPH_OPS)),
+                               st.integers(0, 8), st.integers(0, 8)),
+                     min_size=1, max_size=6)
+
+
+class TestTapeContract:
+    """``Tensor.backward`` adopts fresh gradients, copies borrowed ones and
+    frees non-leaf gradients as it goes; :func:`reference_backward` copies
+    every first gradient and keeps every ``.grad``.  Leaf gradients must be
+    bit-equal between the two, own their memory, and accumulate over
+    repeated passes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), ops=graph_ops)
+    def test_matches_reference_tape(self, seed, ops):
+        leaves, loss = build_graph(seed, ops)
+        reference_backward(loss)
+        expected = leaf_grads(leaves)
+
+        leaves, loss = build_graph(seed, ops)
+        tape = loss._topological_order()
+        loss.backward()
+        assert_bit_equal(leaf_grads(leaves), expected)
+        assert all(node.grad is None for node in tape if node._backward is not None)
+        grads = [t.grad for t in leaves if t.grad is not None]
+        forward = [node.data for node in tape]
+        for index, grad in enumerate(grads):
+            for other in grads[index + 1:] + forward:
+                assert not np.shares_memory(grad, other)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), ops=graph_ops)
+    def test_repeated_backward_accumulates(self, seed, ops):
+        leaves, loss = build_graph(seed, ops)
+        reference_backward(loss)
+        once = leaf_grads(leaves)
+        for node in loss._topological_order():
+            if node._backward is not None:  # a fresh pass starts from the root
+                node.grad = None
+        reference_backward(loss)
+        twice = leaf_grads(leaves)
+
+        leaves, loss = build_graph(seed, ops)
+        loss.backward()
+        loss.backward()
+        assert_bit_equal(leaf_grads(leaves), twice)
+        for t in leaves:  # a used graph still yields the first pass's gradients
+            t.grad = None
+        loss.backward()
+        assert_bit_equal(leaf_grads(leaves), once)

@@ -172,3 +172,41 @@ class TestFusedStage1:
         nets, noises, hist = trainer.train_stage1(bundle.train)
         assert len(nets) == 2 and len(hist) == 2
         assert all(len(h) == 1 for h in hist)
+
+
+class TestStepMemory:
+    """A stacked ResNet step at the ``small`` preset, under ``tracemalloc``
+    (NumPy reports its array allocations to it).  The forward keeps each
+    op's output and at most one saved array of the same size (batch norm's
+    x̂), not im2col columns; the backward frees each non-leaf gradient once
+    its closure has run, so its peak stays below the total of the non-leaf
+    gradients that a tape holding every gradient would keep."""
+
+    def test_backward_peak_below_non_leaf_gradients(self):
+        import tracemalloc
+
+        from repro.experiments.common import get_preset
+        from repro.models.resnet import ResNet
+
+        preset = get_preset("small")
+        config = preset.dataset("cifar10").model_config
+        local = np.random.default_rng(0)
+        stacked = stack_modules([ResNet(config, rng=new_rng(i))
+                                 for i in range(preset.num_nets)])
+        stacked.train(True)
+        images = local.standard_normal((preset.num_nets, 8, 3, 16, 16)).astype(np.float32)
+        labels = local.integers(0, config.num_classes, (preset.num_nets, 8))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = batched_cross_entropy(stacked(Tensor(images)), labels).sum()
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        non_leaf = sum(node.data.nbytes for node in loss._topological_order()
+                       if node._backward is not None)
+        assert start - before < 2 * non_leaf
+        assert peak - start < non_leaf
