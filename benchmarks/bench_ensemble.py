@@ -3,7 +3,8 @@
 Times ``server_outputs`` over N resnet-style bodies on both backends:
 
 * **looped** — the reference Python loop over N independent graphs;
-* **batched** — the fused :class:`~repro.nn.batched.StackedBodies` pass.
+* **batched** — the fused :class:`~repro.nn.batched.StackedBodies` pass,
+  with its conv→BN pairs folded as the server serves it.
 
 Run as pytest (``pytest benchmarks/bench_ensemble.py -s``) or directly
 (``python benchmarks/bench_ensemble.py``).  Either way a record is appended
@@ -29,7 +30,7 @@ from _bench_utils import load_history, write_record as _write_record  # noqa: E4
 from repro import nn  # noqa: E402
 from repro.ci.pipeline import Client, Server  # noqa: E402
 from repro.models.resnet import ResNetBody, ResNetConfig  # noqa: E402
-from repro.nn.batched import StackedBodies  # noqa: E402
+from repro.nn.batched import StackedBodies, fold_batch_norm  # noqa: E402
 from repro.nn.tensor import Tensor, no_grad  # noqa: E402
 from repro.serving.protocol import UploadRequest  # noqa: E402
 from repro.serving.service import InferenceService  # noqa: E402
@@ -56,16 +57,27 @@ def build_bodies(num_nets: int, width: int = WIDTH) -> list[ResNetBody]:
     return bodies
 
 
+def time_interleaved(fns, repeats: int = 5, warmup: int = 2) -> list[float]:
+    """Best-of-``repeats`` wall time (seconds) of each of ``fns``.
+
+    The functions are timed round-robin, one call each per repeat, so a
+    slow spell on a shared host hits every arm rather than only one.
+    """
+    for _ in range(warmup):
+        for fn in fns:
+            fn()
+    best = [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
+
+
 def time_fn(fn, repeats: int = 5, warmup: int = 2) -> float:
     """Best-of-``repeats`` wall time (seconds) after warmup."""
-    for _ in range(warmup):
-        fn()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+    return time_interleaved([fn], repeats=repeats, warmup=warmup)[0]
 
 
 def run_benchmark(body_counts=BODY_COUNTS, batch_size=BATCH_SIZE, width=WIDTH,
@@ -79,6 +91,7 @@ def run_benchmark(body_counts=BODY_COUNTS, batch_size=BATCH_SIZE, width=WIDTH,
         bodies = build_bodies(num_nets, width)
         stacked = StackedBodies(bodies)
         stacked.eval()
+        fold_batch_norm(stacked)  # as the server serves it
 
         def looped():
             return [body(x) for body in bodies]
@@ -94,8 +107,8 @@ def run_benchmark(body_counts=BODY_COUNTS, batch_size=BATCH_SIZE, width=WIDTH,
                 for i in range(num_nets)
             )
 
-            looped_s = time_fn(looped, repeats=repeats)
-            batched_s = time_fn(batched, repeats=repeats)
+            looped_s, batched_s = time_interleaved([looped, batched],
+                                                   repeats=repeats)
         results.append({
             "num_nets": num_nets,
             "looped_s": looped_s,
@@ -185,55 +198,63 @@ def _make_service(bodies: list[nn.Module], fold_bn: bool,
     return service, sessions
 
 
-def _time_tick(service, sessions, features: np.ndarray,
-               repeats: int = 10, warmup: int = 3) -> float:
-    """Best-of tick latency: submits are staged outside the timer."""
-    best = float("inf")
+def _time_ticks(arms, features: np.ndarray, repeats: int = 10,
+                warmup: int = 3) -> list[float]:
+    """Best-of tick latency per ``(service, sessions)`` arm.
+
+    The arms tick round-robin, so host drift hits all of them; submits
+    are staged outside the timer.
+    """
+    best = [float("inf")] * len(arms)
     for i in range(warmup + repeats):
-        for session in sessions:
-            session.submit_features(features)
-        start = time.perf_counter()
-        service.tick()
-        elapsed = time.perf_counter() - start
-        if i >= warmup:
-            best = min(best, elapsed)
+        for arm, (service, sessions) in enumerate(arms):
+            for session in sessions:
+                session.submit_features(features)
+            start = time.perf_counter()
+            service.tick()
+            elapsed = time.perf_counter() - start
+            if i >= warmup:
+                best[arm] = min(best[arm], elapsed)
     return best
+
+
+#: ``(fold_bn, fast_path)`` of each kernel-fusion arm; ``fast_path`` is
+#: the arena here, since ticks are fed ``submit_features`` (no decode).
+FUSION_ARMS = ((False, False), (False, True), (True, False), (True, True))
 
 
 def run_kernel_fusion_benchmark(repeats: int = 10) -> dict:
     """Folded-fast-path vs unfolded tick latency + zero-copy decode rate.
 
-    Both arms serve the same bodies and the same coalesced group
+    Four arms serve the same bodies and the same coalesced group
     (``FUSION_GROUP`` requests x ``FUSION_REQUEST_BATCH`` samples) at
-    N = ``FUSION_NUM_NETS``; only ``fold_bn`` / ``fast_path`` differ.
-    The record also cross-checks the two arms' served feature maps
-    (fold parity on the real serve path, ≤ 1e-5).
+    N = ``FUSION_NUM_NETS``, one per ``fold_bn`` x ``fast_path`` setting
+    (``FUSION_ARMS``).  The gated ``speedup`` flips both knobs; the
+    recorded ``fold_speedup`` flips only the fold (arena on in both
+    arms) and ``arena_speedup`` only the arena (fold on in both).  The
+    record also cross-checks every arm's served feature maps against
+    the all-off arm (fold parity on the real serve path, ≤ 1e-5).
     """
     rng = np.random.default_rng(7)
     features = rng.random(
         (FUSION_REQUEST_BATCH, FUSION_WIDTH, FUSION_SPATIAL, FUSION_SPATIAL),
         dtype=np.float32)
     bodies = build_pointwise_bodies()
-
-    slow_service, slow_sessions = _make_service(bodies, fold_bn=False,
-                                                fast_path=False)
-    fast_service, fast_sessions = _make_service(bodies, fold_bn=True,
-                                                fast_path=True)
+    arms = [_make_service(bodies, fold_bn=fold_bn, fast_path=fast_path)
+            for fold_bn, fast_path in FUSION_ARMS]
 
     # Parity across the arms before timing: same request, same outputs.
-    rid_slow = slow_sessions[0].submit_features(features)
-    rid_fast = fast_sessions[0].submit_features(features)
-    slow_service.run_until_idle()
-    fast_service.run_until_idle()
-    slow_out = slow_sessions[0].result(rid_slow)
-    fast_out = fast_sessions[0].result(rid_fast)
+    outputs = []
+    for service, sessions in arms:
+        rid = sessions[0].submit_features(features)
+        service.run_until_idle()
+        outputs.append(sessions[0].result(rid))
     max_abs_diff = max(float(np.abs(a - b).max())
-                       for a, b in zip(slow_out, fast_out))
+                       for out in outputs[1:] for a, b in zip(outputs[0], out))
 
-    unfolded_s = _time_tick(slow_service, slow_sessions, features,
-                            repeats=repeats)
-    folded_s = _time_tick(fast_service, fast_sessions, features,
-                          repeats=repeats)
+    times = dict(zip(FUSION_ARMS, _time_ticks(arms, features,
+                                               repeats=repeats)))
+    unfolded_s, folded_s = times[False, False], times[True, True]
 
     # Zero-copy vs copying wire decode on a big (~8 MB) fp32 frame.
     frame = UploadRequest(
@@ -259,6 +280,10 @@ def run_kernel_fusion_benchmark(repeats: int = 10) -> dict:
             "unfolded_s": unfolded_s,
             "folded_s": folded_s,
             "speedup": unfolded_s / folded_s,
+            "fold_off_arena_on_s": times[False, True],
+            "fold_on_arena_off_s": times[True, False],
+            "fold_speedup": times[False, True] / folded_s,
+            "arena_speedup": times[True, False] / folded_s,
         },
         "decode": {
             "frame_bytes": len(frame),
@@ -280,6 +305,8 @@ def print_kernel_fusion(record: dict) -> None:
           f"folded {tick['folded_s'] * 1e3:.2f}ms  "
           f"-> {tick['speedup']:.2f}x   (arm parity "
           f"{record['max_abs_diff']:.2e})")
+    print(f"          fold only {tick['fold_speedup']:.2f}x (arena on in both)  "
+          f"arena only {tick['arena_speedup']:.2f}x (fold on in both)")
     print(f"  decode: copy {decode['copy_gbps']:.2f} GB/s  "
           f"zero-copy {decode['zero_copy_gbps']:.2f} GB/s  "
           f"-> {decode['speedup']:.2f}x  "

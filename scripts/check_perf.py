@@ -80,19 +80,23 @@ def load_bench(name: str):
 
 def check_ensemble() -> list[str]:
     bench = load_bench("bench_ensemble")
-    record = bench.run_benchmark(body_counts=(5, 8), repeats=3)
-    bench.print_record(record)
-    failures = []
-    for row in record["results"]:
-        if row["max_abs_diff"] > 1e-5:
-            failures.append(
-                f"ensemble N={row['num_nets']}: backends diverge "
-                f"(max abs diff {row['max_abs_diff']:.2e} > 1e-5)")
-        if row["num_nets"] >= 5 and row["speedup"] < 1.0:
-            failures.append(
-                f"ensemble N={row['num_nets']}: batched is SLOWER than looped "
-                f"({row['speedup']:.2f}x)")
-    return failures
+
+    def measure() -> list[str]:
+        record = bench.run_benchmark(body_counts=(5, 8), repeats=3)
+        bench.print_record(record)
+        failures = []
+        for row in record["results"]:
+            if row["max_abs_diff"] > 1e-5:
+                failures.append(
+                    f"ensemble N={row['num_nets']}: backends diverge "
+                    f"(max abs diff {row['max_abs_diff']:.2e} > 1e-5)")
+            if row["num_nets"] >= 5 and row["speedup"] < 1.0:
+                failures.append(
+                    f"ensemble N={row['num_nets']}: batched is SLOWER than "
+                    f"looped ({row['speedup']:.2f}x)")
+        return failures
+
+    return measure_with_retry(measure, "ensemble")
 
 
 def measure_with_retry(measure, label: str, attempts: int = 2) -> list[str]:
@@ -115,10 +119,11 @@ def check_kernel_fusion() -> list[str]:
     Gates the serve-path optimisations end to end on the BN-bound
     pointwise workload they target: folded + arena ticks must be
     >= 1.15x unfolded tick throughput at N=8, zero-copy frame decode
-    must not be slower than the copying parse, and the two serve arms
-    must agree to 1e-5.  Each gated measurement is appended to
-    ``build/bench-records/BENCH_ensemble.json`` so the CI artifact
-    records what the gate saw.
+    must not be slower than the copying parse, and the serve arms must
+    agree to 1e-5.  The fold-only and arena-only tick speedups are
+    recorded and printed but not gated.  Each gated measurement is
+    appended to ``build/bench-records/BENCH_ensemble.json`` so the CI
+    artifact records what the gate saw.
     """
     bench = load_bench("bench_ensemble")
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro import nn
 from repro.ci.channel import Channel
-from repro.nn.batched import StackedBodies
+from repro.nn.batched import StackedBodies, fold_batch_norm
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -74,9 +74,11 @@ class Server:
     uploaded features for a model-inversion attack.  With the default
     ``"batched"`` backend, multi-body servers execute all bodies as one
     fused :class:`~repro.nn.batched.StackedBodies` pass; heterogeneous or
-    single-body deployments run the looped reference path.  The stacked
-    engine snapshots the bodies' weights at construction — call
-    :meth:`sync` after mutating them.
+    single-body deployments run the looped reference path.  Each fused
+    engine is built in eval mode from a snapshot of the bodies and, with
+    ``fold_bn`` (the default), has its conv→BN pairs folded once by
+    :func:`~repro.nn.batched.fold_batch_norm` — call :meth:`sync` after
+    mutating the bodies so the engines are rebuilt from them.
     """
 
     def __init__(self, bodies: list[nn.Module], backend: str = "batched",
@@ -87,41 +89,35 @@ class Server:
             raise ValueError("backend must be 'batched' or 'looped'")
         self.bodies = bodies
         self.observed_features: list[np.ndarray] = []
-        self.backend = "looped"
         self.fold_bn = fold_bn
-        self._stacked: StackedBodies | None = None
-        # Lazily-built fused engines over body *prefixes* (bodies[:k]) —
-        # the overload controller's shrunken-ensemble passes reuse them.
-        self._subset_cache: dict[int, StackedBodies | None] = {}
+        # Fused eval engines over body *prefixes* bodies[:k], keyed by k
+        # (``None`` when the prefix cannot be stacked).  The full engine
+        # is built here; the overload controller's shrunken-ensemble
+        # prefixes are built on first use.
+        self._engines: dict[int, StackedBodies | None] = {}
         # True when a train-mode looped pass has mutated the bodies (BN
-        # running statistics) since the mirror last synced.
+        # running statistics) since the engines were built.
         self._stacked_stale = False
-        if backend == "batched" and len(bodies) > 1:
-            # None for heterogeneous bodies: serve them with the loop.
-            self._stacked = StackedBodies.try_build(bodies, fold_bn=fold_bn)
-            if self._stacked is not None:
-                self.backend = "batched"
+        self.backend = "looped"
+        if (backend == "batched" and len(bodies) > 1
+                and self._engine(len(bodies)) is not None):
+            self.backend = "batched"
 
     def sync(self) -> "Server":
-        """Refresh the stacked engine after the bodies' weights changed."""
-        self._subset_cache.clear()  # subset mirrors rebuild from fresh weights
-        if self._stacked is not None:
-            self._stacked.sync_from(self.bodies)
-            self._stacked.train(self.bodies[0].training)
-            self._stacked_stale = False
+        """Drop the fused engines so they rebuild from the bodies' weights."""
+        self._engines.clear()
+        self._stacked_stale = False
         return self
 
-    def _subset_engine(self, k: int) -> StackedBodies | None:
-        """The fused engine over ``bodies[:k]``, built lazily (or ``None``
-        when the prefix cannot be stacked and must run the loop)."""
-        if self.backend != "batched" or k < 2:
-            return None
-        if self._stacked_stale:
-            self.sync()  # refresh mirrors before building from the bodies
-        if k not in self._subset_cache:
-            self._subset_cache[k] = StackedBodies.try_build(
-                self.bodies[:k], fold_bn=self.fold_bn)
-        return self._subset_cache[k]
+    def _engine(self, k: int) -> StackedBodies | None:
+        """The fused eval engine over ``bodies[:k]``, built (and folded)
+        on first use, or ``None`` when the prefix cannot be stacked."""
+        if k not in self._engines:
+            engine = StackedBodies.try_build(self.bodies[:k], eval_mode=True)
+            if engine is not None and self.fold_bn:
+                fold_batch_norm(engine)
+            self._engines[k] = engine
+        return self._engines[k]
 
     def compute(self, features: np.ndarray, record: bool = False,
                 num_bodies: int | None = None) -> list[np.ndarray]:
@@ -147,25 +143,22 @@ class Server:
             x = Tensor(features)
             # The fused engine serves eval-mode bodies only; any train-mode
             # body sends the whole request down the loop so BN running
-            # statistics update in place (the stacked mirror must never
-            # hold the only copy).  Mode is read off the *bodies* —
-            # ``body.train()`` called directly (without sync()) must not
-            # leave stale eval-mode semantics being served from the mirror.
-            any_training = any(body.training for body in self.bodies)
-            if any_training:
+            # statistics update in place (an engine must never hold the
+            # only copy).  Mode is read off the *bodies* — ``body.train()``
+            # called directly (without sync()) must not leave stale
+            # eval-mode semantics being served from an engine.
+            if any(body.training for body in self.bodies):
                 # The looped train-mode forward mutates the bodies in
-                # place, so the mirror (if any) no longer matches them.
+                # place, so the engines no longer match them.
                 self._stacked_stale = True
                 return [body(x).data for body in self.bodies[:k]]
-            engine = (self._stacked if k == total and self._stacked is not None
-                      else self._subset_engine(k))
+            if self._stacked_stale:
+                # A train-mode pass moved the bodies' BN statistics since
+                # the engines were built; rebuild before serving fused.
+                self.sync()
+            engine = (self._engine(k) if self.backend == "batched" and k > 1
+                      else None)
             if engine is not None:
-                if self._stacked_stale:
-                    # A train-mode pass moved the bodies' BN statistics
-                    # since the last sync; refresh before serving fused.
-                    self.sync()
-                if engine.training:
-                    engine.eval()
                 stacked_out = engine(x).data
                 return [np.ascontiguousarray(stacked_out[i])
                         for i in range(k)]

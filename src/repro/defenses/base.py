@@ -19,7 +19,7 @@ from repro.core.selector import Selector
 from repro.data.datasets import ArrayDataset
 from repro.metrics.accuracy import evaluate_accuracy
 from repro.models.resnet import ResNetConfig
-from repro.nn.batched import StackedBodies, unbind
+from repro.nn.batched import StackedBodies, fold_batch_norm, unbind
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -46,12 +46,14 @@ class FittedDefense:
         if self.selector is not None and self.selector.num_nets != len(self.bodies):
             raise ValueError("selector arity must match the number of bodies")
         self.eval()
-        # Fuse the selected bodies into one batched pass for predict();
-        # heterogeneous ensembles silently keep the looped path.
+        # Fuse the selected bodies into one folded batched pass for
+        # predict(); heterogeneous ensembles silently keep the looped path.
         self._stacked_active = None
         if self.selector is not None and self.selector.num_active > 1:
             self._stacked_active = StackedBodies.try_build(
                 [self.bodies[i] for i in self.selector.indices], eval_mode=True)
+            if self._stacked_active is not None:
+                fold_batch_norm(self._stacked_active)
 
     def eval(self) -> "FittedDefense":
         for module in (self.head, self.tail, self.noise, *self.bodies):

@@ -96,7 +96,7 @@ from repro.nn.modules import (
     Tanh,
     UpsampleNearest2d,
 )
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
 from repro.nn.tensor import stack as tensor_stack
 
 
@@ -323,14 +323,9 @@ class StackedConv2d(_StackedWeightBias):
         super().__init__(convs, "conv")
         self.stride = common_attr(convs, "stride")
         self.padding = common_attr(convs, "padding")
-        # Eval-time BN fold for bias-free convs: the folded shift lives in
-        # a plain (non-parameter) tensor so ``parameters()`` / state_dict
-        # are unchanged by folding.  ``None`` whenever unfolded.
-        self._fold_bias: Tensor | None = None
 
     def forward(self, x: Tensor) -> Tensor:
-        bias = self.bias if self._fold_bias is None else self._fold_bias
-        return batched_conv2d(x, self.weight, bias, stride=self.stride,
+        return batched_conv2d(x, self.weight, self.bias, stride=self.stride,
                               padding=self.padding)
 
 
@@ -370,13 +365,12 @@ class StackedBatchNorm2d(StackedModule):
         self.register_buffer("running_var", np.stack([bn.running_var for bn in bns]))
         self.record_batch_stats = False
         self.recorded_stats: tuple[Tensor, Tensor] | None = None
-        # True while this layer's affine map is folded into the preceding
-        # stacked conv (see :class:`StackedBodies`): the forward is then a
-        # pass-through.  Only ever set in eval mode; ``train()`` unfolds.
-        self._folded = False
+        # True once :func:`fold_batch_norm` has moved this layer's affine
+        # map into the preceding stacked conv: the forward is a pass-through.
+        self.folded = False
 
     def forward(self, x: Tensor) -> Tensor:
-        if self._folded and not self.training:
+        if self.folded:
             return x
         if self.record_batch_stats:
             axes = (0, 2, 3) if x.ndim == 4 else (1, 3, 4)
@@ -582,6 +576,36 @@ def find_fold_pairs(module: Module) -> "list[tuple[StackedConv2d, StackedBatchNo
     return pairs
 
 
+def fold_batch_norm(engine: StackedBodies) -> StackedBodies:
+    """Fold every conv→batch-norm pair of an eval engine into its conv.
+
+    Each pair from :func:`find_fold_pairs` is rewritten in place::
+
+        scale = gamma / sqrt(running_var + eps)        # (E, C)
+        W'    = W * scale                              # per out-channel
+        b'    = beta - running_mean * scale + b * scale
+
+    and the batch-norm forward becomes a pass-through, so the eval hot
+    path drops two full-tensor touches (and two allocations) per BN
+    layer.  The fold is one-way: the engine then serves eval, no-grad
+    forwards of the statistics it held when folded, and no longer
+    mirrors the bodies (the bodies themselves are untouched — the engine
+    holds copies).  Already-folded pairs are skipped, so folding twice
+    equals folding once.  Folded outputs match the unfolded engine to
+    float32 rounding (≪ 1e-5); ``tests/test_fold_parity.py`` sweeps this.
+    """
+    for conv, bn in find_fold_pairs(engine):
+        if bn.folded:
+            continue
+        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)  # (E, C)
+        shift = bn.beta.data - bn.running_mean * scale
+        conv.weight.data = conv.weight.data * scale[:, :, None, None, None]
+        conv.bias = Parameter(shift if conv.bias is None
+                              else shift + conv.bias.data * scale)
+        bn.folded = True
+    return engine
+
+
 # ----------------------------------------------------------------------
 # StackedBodies — the server's fused N-body pass
 # ----------------------------------------------------------------------
@@ -597,33 +621,13 @@ class StackedBodies(StackedModule):
     after mutating the bodies (or :meth:`unstack_to` after fine-tuning the
     stacked copy) to keep the two representations interchangeable.
 
-    Eval-time BN fold
-    -----------------
-    With ``fold_bn=True`` (the default), switching to eval mode folds
-    every adjacent conv→batch-norm pair (:func:`find_fold_pairs`) into
-    the conv's own weights and bias::
-
-        scale = gamma / sqrt(running_var + eps)        # (E, C)
-        W'    = W * scale                              # per out-channel
-        b'    = beta - running_mean * scale + b * scale
-
-    after which the batch-norm forward is a pass-through — the eval hot
-    path drops two full-tensor touches (and two allocations) per BN
-    layer.  The fold is a pure ``.data`` swap: the original weight/bias
-    arrays are stashed by object identity, ``train()`` restores them
-    bit-exactly (optimizer steps always run on the unfolded tree), and
-    ``sync_from`` / ``unstack_to`` / ``state_dict`` / ``load_state_dict``
-    transparently unfold around their work so the folded representation
-    never leaks out of the engine.  Pairs whose BN is recording batch
-    statistics at fold time are left unfolded (the recorder must observe
-    its true input).  The fold also yields to autograd: a forward with
-    gradients enabled transparently unfolds first (BN parameters must
-    participate in the graph) and the next ``no_grad`` forward re-folds.
-    Folded outputs match unfolded outputs to float32 rounding (≪ 1e-5);
-    the differential parity suite pins this down.
+    A serving engine is built in eval mode and then folded once by
+    :func:`fold_batch_norm`.  A folded engine no longer mirrors the
+    bodies, so a caller whose bodies changed builds a new engine instead
+    of syncing the folded one.
     """
 
-    def __init__(self, bodies: list[Module], fold_bn: bool = True):
+    def __init__(self, bodies: list[Module]):
         super().__init__()
         bodies = list(bodies)
         if not bodies:
@@ -635,23 +639,18 @@ class StackedBodies(StackedModule):
         # only fully stateless trees pass the shared input through unchanged.
         self._parametric = (len(self.stacked.parameters()) > 0
                             or next(self.stacked.named_buffers(), None) is not None)
-        self.fold_bn = fold_bn
-        self._fold_pairs = find_fold_pairs(self.stacked) if fold_bn else []
-        self._fold_state: list[dict] = []
-        self._folded = False
 
     @classmethod
-    def try_build(cls, bodies: list[Module], eval_mode: bool | None = None,
-                  fold_bn: bool = True) -> "StackedBodies | None":
+    def try_build(cls, bodies: list[Module],
+                  eval_mode: bool | None = None) -> "StackedBodies | None":
         """Build a stacked engine, or ``None`` when the bodies can't be fused.
 
         The standard construct-or-fall-back used everywhere a batched backend
         is optional.  ``eval_mode`` forces train/eval on the result; ``None``
-        inherits the first body's mode.  ``fold_bn`` controls the eval-time
-        conv←BN fold (on by default; see the class docstring).
+        inherits the first body's mode.
         """
         try:
-            stacked = cls(bodies, fold_bn=fold_bn)
+            stacked = cls(bodies)
         except UnstackableError:
             return None
         mode = bodies[0].training if eval_mode is None else not eval_mode
@@ -662,81 +661,7 @@ class StackedBodies(StackedModule):
     def num_bodies(self) -> int:
         return self.num_stacked
 
-    @property
-    def folded(self) -> bool:
-        """True while conv←BN pairs are folded (eval mode, ``fold_bn``)."""
-        return self._folded
-
-    # -- fold state machine ---------------------------------------------
-
-    def train(self, mode: bool = True) -> "StackedBodies":
-        if mode:
-            self._unfold()
-        super().train(mode)
-        if not mode and self.fold_bn:
-            self._fold()
-        return self
-
-    def _fold(self) -> None:
-        if self._folded:
-            return
-        for conv, bn in self._fold_pairs:
-            if bn.record_batch_stats:
-                continue  # the recorder must observe its true input
-            scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)  # (E, C)
-            shift = bn.beta.data - bn.running_mean * scale
-            self._fold_state.append({
-                "conv": conv, "bn": bn, "weight": conv.weight.data,
-                "bias": None if conv.bias is None else conv.bias.data,
-            })
-            conv.weight.data = conv.weight.data * scale[:, :, None, None, None]
-            if conv.bias is not None:
-                conv.bias.data = shift + conv.bias.data * scale
-            else:
-                conv._fold_bias = Tensor(shift)
-            bn._folded = True
-        self._folded = True
-
-    def _unfold(self) -> None:
-        if not self._folded:
-            return
-        for state in self._fold_state:
-            conv, bn = state["conv"], state["bn"]
-            conv.weight.data = state["weight"]  # original array objects:
-            if state["bias"] is not None:       # bit-exact restoration
-                conv.bias.data = state["bias"]
-            conv._fold_bias = None
-            bn._folded = False
-        self._fold_state = []
-        self._folded = False
-
-    def _unfolded_call(self, fn):
-        """Run ``fn`` on the unfolded tree, re-folding afterwards.
-
-        Weight traffic (sync, unstack, checkpoints) must always see the
-        true parameters; the re-fold recomputes from whatever ``fn``
-        wrote, so a sync while serving folded stays correct.
-        """
-        refold = self._folded
-        self._unfold()
-        try:
-            return fn()
-        finally:
-            if refold and not self.training and self.fold_bn:
-                self._fold()
-
-    # -- forward / weight traffic ---------------------------------------
-
     def forward(self, features: Tensor) -> Tensor:
-        if self.fold_bn and not self.training:
-            # The fold only holds while gradients are off: a grad-recording
-            # eval pass (attack replays, fine-tuning probes) must see the
-            # true conv/BN parameters so their gradients flow.  Both calls
-            # are no-ops when the state already matches.
-            if is_grad_enabled():
-                self._unfold()
-            else:
-                self._fold()
         out = self.stacked(features)
         if not self._parametric:
             # Degenerate all-stateless ensemble: the shared input passed
@@ -748,18 +673,9 @@ class StackedBodies(StackedModule):
         return unbind(self.forward(features))
 
     def sync_from(self, bodies: list[Module]) -> "StackedBodies":
-        bodies = self._check_arity(bodies)
-        self._unfolded_call(lambda: self.stacked.sync_from(bodies))
+        self.stacked.sync_from(self._check_arity(bodies))
         return self
 
     def unstack_to(self, bodies: list[Module]) -> "StackedBodies":
-        bodies = self._check_arity(bodies)
-        self._unfolded_call(lambda: self.stacked.unstack_to(bodies))
+        self.stacked.unstack_to(self._check_arity(bodies))
         return self
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return self._unfolded_call(lambda: super(StackedBodies, self).state_dict())
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        self._unfolded_call(
-            lambda: super(StackedBodies, self).load_state_dict(state))

@@ -1,19 +1,18 @@
 """Differential parity suite for the eval-time conv←BN fold.
 
-The fold (:class:`repro.nn.batched.StackedBodies` with ``fold_bn=True``)
-rewrites every adjacent conv→batch-norm pair into the conv's own weights
-on ``eval()`` and must be *invisible* everywhere else:
+:func:`repro.nn.batched.fold_batch_norm` rewrites every adjacent
+conv→batch-norm pair of an eval engine into the conv's own weights, once
+and in place.  It must be invisible to whatever the engine serves:
 
 * **numerics** — folded eval outputs match the unfolded engine and the
   looped per-body reference to ≤ 1e-5 across a seeded sweep of kernel
   sizes, strides, paddings, channel counts and ensemble sizes N;
-* **state** — ``train()`` restores the original parameter arrays *by
-  object identity* (bit-exact, not merely close), across repeated
-  train/eval cycles with real optimizer steps in between;
-* **train mode** — a ``fold_bn=True`` engine in train mode is
-  bit-identical to a ``fold_bn=False`` engine (the fold never engages);
-* **autograd** — a grad-recording eval forward transparently unfolds so
-  BN gradients flow, and the next ``no_grad`` forward re-folds.
+* **one-way fold** — the source bodies stay bit-unchanged, and folding
+  twice equals folding once;
+* **serving engines** — ``Server`` rebuilds its folded engines when the
+  bodies change (``sync()`` or a train-mode pass), ``FittedDefense``
+  serves its folded pass like the loop, and ``Server(fold_bn=False)`` is
+  the plain unfolded engine.
 """
 
 import numpy as np
@@ -21,7 +20,10 @@ import pytest
 
 from repro import nn
 from repro.ci.pipeline import Server
-from repro.nn.batched import StackedBodies, find_fold_pairs
+from repro.core.selector import Selector
+from repro.defenses.base import FittedDefense
+from repro.models.resnet import ResNetBody, ResNetConfig, ResNetHead, ResNetTail
+from repro.nn.batched import StackedBodies, find_fold_pairs, fold_batch_norm
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import new_rng
 
@@ -45,15 +47,25 @@ def make_conv_bn_bodies(num_nets: int, in_channels: int, out_channels: int,
             ]
             channels = out_channels
         body = nn.Sequential(*layers)
-        # One train-mode batch moves running_mean/var off their init values
-        # so the fold actually has statistics to absorb.
-        body.train()
-        with no_grad():
-            body(Tensor(rng.standard_normal(
-                (4, in_channels, spatial, spatial)).astype(np.float32)))
-        body.eval()
+        warm_up_batch_norm(body, rng.standard_normal(
+            (4, in_channels, spatial, spatial)).astype(np.float32))
         bodies.append(body)
     return bodies
+
+
+def warm_up_batch_norm(module: nn.Module, batch: np.ndarray) -> None:
+    """One train-mode batch moves running_mean/var off their init values
+    so the fold has statistics to absorb; the module ends in eval mode."""
+    module.train()
+    with no_grad():
+        module(Tensor(batch))
+    module.eval()
+
+
+def folded_engine(bodies: list[nn.Module]) -> StackedBodies:
+    engine = StackedBodies.try_build(bodies, eval_mode=True)
+    assert engine is not None
+    return fold_batch_norm(engine)
 
 
 def sweep_case(seed: int) -> dict:
@@ -83,6 +95,21 @@ def sweep_case(seed: int) -> dict:
     }
 
 
+def small_bodies(seed: int = 5) -> list[nn.Module]:
+    return make_conv_bn_bodies(num_nets=3, in_channels=3, out_channels=8,
+                               kernel_size=3, stride=1, padding=1, bias=True,
+                               spatial=8, seed=seed)
+
+
+def small_features(seed: int = 6) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal(
+        (2, 3, 8, 8)).astype(np.float32)
+
+
+def looped(bodies: list[nn.Module], features: np.ndarray) -> list[np.ndarray]:
+    return Server(bodies, backend="looped").compute(features)
+
+
 class TestFoldedEvalParity:
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_sweep_folded_matches_unfolded_and_looped(self, seed):
@@ -93,10 +120,10 @@ class TestFoldedEvalParity:
         x = Tensor(rng.standard_normal(
             (3, case["in_channels"], case["spatial"], case["spatial"])
         ).astype(np.float32))
-        folded = StackedBodies.try_build(bodies, fold_bn=True)
-        unfolded = StackedBodies.try_build(bodies, fold_bn=False)
-        assert folded is not None and unfolded is not None
-        assert folded.folded and not unfolded.folded
+        folded = folded_engine(bodies)
+        unfolded = StackedBodies.try_build(bodies, eval_mode=True)
+        assert all(bn.folded for _, bn in find_fold_pairs(folded))
+        assert not any(bn.folded for _, bn in find_fold_pairs(unfolded))
         with no_grad():
             out_folded = folded(x).data
             out_unfolded = unfolded(x).data
@@ -108,11 +135,8 @@ class TestFoldedEvalParity:
     @pytest.mark.parametrize("backend", ["batched", "looped"])
     def test_server_backends_agree_with_fold(self, backend):
         """Both Server backends serve fold-compatible outputs ≤ 1e-5."""
-        bodies = make_conv_bn_bodies(num_nets=3, in_channels=3,
-                                     out_channels=8, kernel_size=3, stride=1,
-                                     padding=1, bias=True, spatial=8, seed=5)
-        features = np.random.default_rng(6).standard_normal(
-            (2, 3, 8, 8)).astype(np.float32)
+        bodies = small_bodies()
+        features = small_features()
         server = Server(bodies, backend=backend, fold_bn=True)
         reference = Server(bodies, backend="looped", fold_bn=False)
         for out, ref in zip(server.compute(features),
@@ -126,156 +150,121 @@ class TestFoldedEvalParity:
         bodies = []
         for i in range(3):
             body = resnet8(width=8, rng=new_rng(40 + i))
-            body.train()
-            with no_grad():
-                body(Tensor(np.random.default_rng(50 + i).standard_normal(
-                    (2, 3, 8, 8)).astype(np.float32)))
-            body.eval()
+            warm_up_batch_norm(body, np.random.default_rng(50 + i)
+                               .standard_normal((2, 3, 8, 8))
+                               .astype(np.float32))
             bodies.append(body)
-        folded = StackedBodies.try_build(bodies, fold_bn=True)
-        unfolded = StackedBodies.try_build(bodies, fold_bn=False)
-        assert folded is not None and folded.folded
-        assert len(folded._fold_pairs) > 0
+        folded = folded_engine(bodies)
+        unfolded = StackedBodies.try_build(bodies, eval_mode=True)
+        assert len(find_fold_pairs(folded)) > 0
         x = Tensor(np.random.default_rng(60).standard_normal(
             (2, 3, 8, 8)).astype(np.float32))
         with no_grad():
             np.testing.assert_allclose(folded(x).data, unfolded(x).data,
                                        atol=1e-5, rtol=0)
 
-    def test_train_mode_numerics_untouched(self):
-        """fold_bn=True in train mode is bit-identical to fold_bn=False."""
-        bodies = make_conv_bn_bodies(num_nets=3, in_channels=2,
-                                     out_channels=4, kernel_size=3, stride=1,
-                                     padding=1, bias=False, spatial=6, seed=9)
-        with_fold = StackedBodies.try_build(bodies, eval_mode=False,
-                                            fold_bn=True)
-        without = StackedBodies.try_build(bodies, eval_mode=False,
-                                          fold_bn=False)
-        assert not with_fold.folded
-        x = Tensor(np.random.default_rng(10).standard_normal(
-            (4, 2, 6, 6)).astype(np.float32))
-        with no_grad():
-            np.testing.assert_array_equal(with_fold(x).data, without(x).data)
-        # Train-mode forwards moved BOTH engines' running stats identically.
-        for a, b in zip(with_fold.state_dict().values(),
-                        without.state_dict().values()):
-            np.testing.assert_array_equal(a, b)
 
-
-class TestFoldRoundTrip:
-    def _engine_and_originals(self, seed=21):
+class TestOneWayFold:
+    def test_fold_leaves_source_bodies_bit_unchanged(self):
         bodies = make_conv_bn_bodies(num_nets=3, in_channels=2,
                                      out_channels=5, kernel_size=3, stride=1,
-                                     padding=1, bias=True, spatial=6,
-                                     seed=seed)
-        # Built in train mode: the parameters are the true (unfolded) ones.
-        engine = StackedBodies.try_build(bodies, eval_mode=False,
-                                         fold_bn=True)
-        originals = [p.data for p in engine.parameters()]
-        return engine, originals
+                                     padding=1, bias=False, spatial=6,
+                                     seed=21)
+        before = [{k: v.copy() for k, v in body.state_dict().items()}
+                  for body in bodies]
+        folded_engine(bodies)
+        for body, snapshot in zip(bodies, before):
+            after = body.state_dict()
+            assert after.keys() == snapshot.keys()
+            for key in snapshot:
+                np.testing.assert_array_equal(after[key], snapshot[key])
 
-    def test_fold_unfold_round_trip_is_bit_exact(self):
-        """eval/train cycles restore the original arrays by identity."""
-        engine, originals = self._engine_and_originals()
-        copies = [arr.copy() for arr in originals]
-        for _ in range(3):
-            engine.eval()
-            assert engine.folded
-            engine.train()
-            assert not engine.folded
-        for param, original, copy in zip(engine.parameters(), originals,
-                                         copies):
-            assert param.data is original  # same object, not a clone
-            np.testing.assert_array_equal(param.data, copy)
+    def test_folding_twice_equals_folding_once(self):
+        bodies = small_bodies(seed=22)
+        engine = folded_engine(bodies)
+        once = {k: v.copy() for k, v in engine.state_dict().items()}
+        x = Tensor(small_features(seed=23))
+        with no_grad():
+            out_once = engine(x).data
+            fold_batch_norm(engine)
+            out_twice = engine(x).data
+        twice = engine.state_dict()
+        assert twice.keys() == once.keys()
+        for key in once:
+            np.testing.assert_array_equal(twice[key], once[key])
+        np.testing.assert_array_equal(out_twice, out_once)
 
-    def test_round_trip_with_optimizer_steps_between(self):
-        """Steps on the unfolded tree survive fold cycles bit-exactly."""
-        engine, _ = self._engine_and_originals()
-        opt = nn.StackedSGD(engine.parameters(),
-                            num_stacked=engine.num_stacked, lr=0.05)
-        x = Tensor(np.random.default_rng(11).standard_normal(
-            (4, 2, 6, 6)).astype(np.float32))
-        for _ in range(3):
-            engine.train()
-            opt.zero_grad()
-            engine(x).sum().backward()
-            opt.step()
-            stepped = [p.data for p in engine.parameters()]
-            snapshot = [arr.copy() for arr in stepped]
-            engine.eval()  # fold over the freshly-stepped weights
-            assert engine.folded
-            with no_grad():
-                engine(x)
-            engine.train()
-            for param, arr, copy in zip(engine.parameters(), stepped,
-                                        snapshot):
-                assert param.data is arr
-                np.testing.assert_array_equal(param.data, copy)
 
-    def test_state_dict_identical_folded_and_unfolded(self):
-        """Checkpoints never leak the folded representation."""
-        engine, _ = self._engine_and_originals()
-        unfolded_state = engine.state_dict()
-        engine.eval()
-        assert engine.folded
-        folded_state = engine.state_dict()
-        assert engine.folded  # state_dict re-folds behind itself
-        assert unfolded_state.keys() == folded_state.keys()
-        for key in unfolded_state:
-            np.testing.assert_array_equal(unfolded_state[key],
-                                          folded_state[key])
-
-    def test_sync_from_while_folded_serves_new_weights(self):
+class TestServingEngines:
+    def test_server_sync_serves_new_body_weights(self):
         bodies = make_conv_bn_bodies(num_nets=2, in_channels=2,
                                      out_channels=3, kernel_size=1, stride=1,
                                      padding=0, bias=True, spatial=5, seed=33)
-        engine = StackedBodies.try_build(bodies, fold_bn=True)
-        assert engine.folded
+        features = np.random.default_rng(34).standard_normal(
+            (2, 2, 5, 5)).astype(np.float32)
+        server = Server(bodies)
+        assert server.backend == "batched"
+        stale = server.compute(features)
         with no_grad():
             for body in bodies:
                 for param in body.parameters():
                     param.data = param.data + 0.25
-            engine.sync_from(bodies)
-            assert engine.folded  # re-folded over the synced weights
-            x = Tensor(np.random.default_rng(12).standard_normal(
-                (2, 2, 5, 5)).astype(np.float32))
-            out = engine(x).data
-            looped = np.stack([body(x).data for body in bodies])
-        np.testing.assert_allclose(out, looped, atol=1e-5, rtol=0)
+        server.sync()
+        served = server.compute(features)
+        for out, ref, old in zip(served, looped(bodies, features), stale):
+            np.testing.assert_allclose(out, ref, atol=1e-5, rtol=0)
+            assert np.abs(out - old).max() > 1e-3
 
+    @pytest.mark.parametrize("num_bodies", [None, 2])
+    def test_train_mode_compute_then_eval_serves_updated_stats(self,
+                                                               num_bodies):
+        """A train-mode pass moves the bodies' BN statistics; the next eval
+        pass (full engine or k-prefix engine) must serve the new ones."""
+        bodies = small_bodies(seed=35)
+        features = small_features(seed=36)
+        server = Server(bodies)
+        before = server.compute(features, num_bodies=num_bodies)
+        for body in bodies:
+            body.train()
+        server.compute(features * 3.0 + 1.0)  # looped, moves running stats
+        for body in bodies:
+            body.eval()
+        served = server.compute(features, num_bodies=num_bodies)
+        reference = looped(bodies, features)
+        assert len(served) == len(before)
+        for out, ref, old in zip(served, reference, before):
+            np.testing.assert_allclose(out, ref, atol=1e-5, rtol=0)
+            assert np.abs(out - old).max() > 1e-3
 
-class TestFoldAutogradInterplay:
-    def test_grad_enabled_eval_forward_unfolds(self):
-        """BN parameters must re-enter the graph when gradients are on."""
-        bodies = make_conv_bn_bodies(num_nets=2, in_channels=2,
-                                     out_channels=4, kernel_size=3, stride=1,
-                                     padding=1, bias=False, spatial=6,
-                                     seed=44)
-        engine = StackedBodies.try_build(bodies, fold_bn=True)
-        assert engine.folded
-        x = Tensor(np.random.default_rng(13).standard_normal(
-            (2, 2, 6, 6)).astype(np.float32))
-        engine(x).sum().backward()  # grad-recording eval forward
-        assert not engine.folded
-        for _, bn in find_fold_pairs(engine.stacked):
-            assert bn.gamma.grad is not None
-            assert bn.beta.grad is not None
+    def test_unfolded_server_is_bit_equal_to_unfolded_engine(self):
+        bodies = small_bodies(seed=37)
+        features = small_features(seed=38)
+        served = Server(bodies, fold_bn=False).compute(features)
+        engine = StackedBodies.try_build(bodies, eval_mode=True)
         with no_grad():
-            engine(x)  # the next no_grad forward re-folds lazily
-        assert engine.folded
+            expected = engine(Tensor(features)).data
+        for i, out in enumerate(served):
+            np.testing.assert_array_equal(out, expected[i])
 
-    def test_recording_bn_pairs_stay_unfolded(self):
-        """A stat-recording BN must observe its true input, fold or not."""
-        bodies = make_conv_bn_bodies(num_nets=2, in_channels=2,
-                                     out_channels=3, kernel_size=3, stride=1,
-                                     padding=1, bias=True, spatial=6, seed=55)
-        engine = StackedBodies.try_build(bodies, eval_mode=False,
-                                         fold_bn=True)
-        pairs = find_fold_pairs(engine.stacked)
-        pairs[0][1].record_batch_stats = True
-        engine.eval()
-        assert engine.folded
-        assert not pairs[0][1]._folded    # the recorder was skipped
-        assert all(bn._folded for _, bn in pairs[1:])
-        engine.train()
-        assert not any(bn._folded for _, bn in pairs)
+    def test_fitted_defense_stacked_predict_matches_looped(self):
+        config = ResNetConfig(num_classes=4, stem_channels=8,
+                              stage_channels=(8, 16), blocks_per_stage=(1, 1))
+        rng = new_rng(39)
+        images = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+        head = ResNetHead(config, rng).eval()
+        with no_grad():
+            features = head(Tensor(images)).data
+        bodies = []
+        for _ in range(4):
+            body = ResNetBody(config, rng)
+            warm_up_batch_norm(body, features)
+            bodies.append(body)
+        selector = Selector(4, (0, 2, 3))
+        tail = ResNetTail(config, rng, in_multiplier=selector.num_active)
+        defense = FittedDefense("fold", head, bodies, tail, nn.Identity(),
+                                config, selector=selector)
+        assert defense._stacked_active is not None
+        stacked = defense.predict(images)
+        defense._stacked_active = None  # force the per-body loop
+        np.testing.assert_allclose(stacked, defense.predict(images),
+                                   atol=1e-5, rtol=0)
