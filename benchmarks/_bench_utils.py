@@ -1,14 +1,20 @@
 """Shared helpers for the benchmark record files (BENCH_*.json).
 
-Every benchmark appends its run record to a per-file history list at the
-repo root, so the perf trajectory accumulates across PRs.  The helpers live
-here so the serialization format cannot fork between benchmarks; the bench
-modules put this directory on ``sys.path`` before importing (benchmarks/ is
-deliberately not a package so its files stay runnable as plain scripts).
+Every benchmark appends its run record to a per-file history list under
+:data:`RECORD_DIR` (``build/bench-records/``, gitignored — the directory
+``scripts/check_perf.py`` writes to), so running a benchmark never
+rewrites the tracked ``BENCH_*.json`` history files at the repo root.
+The helpers live here so the serialization format cannot fork between
+benchmarks; the bench modules put this directory on ``sys.path`` before
+importing (benchmarks/ is deliberately not a package so its files stay
+runnable as plain scripts).
 """
 
 import json
 from pathlib import Path
+
+#: Where benchmark runs append their records by default.
+RECORD_DIR = Path(__file__).resolve().parent.parent / "build" / "bench-records"
 
 
 def load_history(path: Path) -> list[dict]:
@@ -47,8 +53,10 @@ def write_record(record: dict, path: Path) -> Path:
 
     The history is trimmed to the newest
     :data:`MAX_RECORDS_PER_BENCHMARK` records per ``benchmark`` key, so
-    BENCH_*.json growth is bounded across PRs.
+    BENCH_*.json growth is bounded across PRs.  Missing parent
+    directories are created.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     history = load_history(path)
     history.append(record)
     path.write_text(json.dumps(_trim_history(history), indent=2) + "\n")

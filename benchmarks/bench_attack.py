@@ -16,7 +16,8 @@ streams, so the timed work is the same training up to float reassociation.
 
 Run as pytest (``pytest benchmarks/bench_attack.py -s``) or directly
 (``python benchmarks/bench_attack.py``).  Either way a record is appended
-to the ``BENCH_attack.json`` history list at the repo root; the pytest
+to the ``BENCH_attack.json`` history list in the gitignored
+``build/bench-records/`` (never the tracked file at the repo root); the pytest
 entry additionally asserts the acceptance bar (fused ≥ 1.5x at K=15).
 """
 
@@ -31,7 +32,7 @@ if str(REPO_ROOT / "src") not in sys.path:  # allow `python benchmarks/bench_att
 if str(REPO_ROOT / "benchmarks") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from _bench_utils import load_history, write_record as _write_record  # noqa: E402
+from _bench_utils import RECORD_DIR, write_record as _write_record  # noqa: E402
 from repro.attacks import AttackConfig, InversionAttack  # noqa: E402
 from repro.core.training import TrainingConfig  # noqa: E402
 from repro.data.synthetic import cifar10_like  # noqa: E402
@@ -45,7 +46,7 @@ WIDTH = 8
 BATCH_SIZE = 4
 EPOCHS = 1
 CHUNK_SIZE = 8
-RECORD_PATH = REPO_ROOT / "BENCH_attack.json"
+RECORD_PATH = RECORD_DIR / "BENCH_attack.json"
 
 
 def build_fixture(width: int = WIDTH, num_bodies: int = NUM_BODIES,

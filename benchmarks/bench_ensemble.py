@@ -8,8 +8,9 @@ Times ``server_outputs`` over N resnet-style bodies on both backends:
 
 Run as pytest (``pytest benchmarks/bench_ensemble.py -s``) or directly
 (``python benchmarks/bench_ensemble.py``).  Either way a record is appended
-to the ``BENCH_ensemble.json`` history list at the repo root so the perf
-trajectory accumulates across PRs/runs; the pytest entry additionally
+to the ``BENCH_ensemble.json`` history list in the gitignored
+``build/bench-records/`` (never the tracked file at the repo root), so the
+perf trajectory accumulates across runs; the pytest entry additionally
 asserts the acceptance bar (batched ≥ 2x for N=8, outputs matching to
 ≤ 1e-5).
 """
@@ -26,7 +27,7 @@ if str(REPO_ROOT / "src") not in sys.path:  # allow `python benchmarks/bench_ens
 if str(REPO_ROOT / "benchmarks") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from _bench_utils import load_history, write_record as _write_record  # noqa: E402
+from _bench_utils import RECORD_DIR, write_record as _write_record  # noqa: E402
 from repro import nn  # noqa: E402
 from repro.ci.pipeline import Client, Server  # noqa: E402
 from repro.models.resnet import ResNetBody, ResNetConfig  # noqa: E402
@@ -40,7 +41,7 @@ BODY_COUNTS = (3, 5, 8)
 BATCH_SIZE = 8
 WIDTH = 16
 SPATIAL = 8
-RECORD_PATH = REPO_ROOT / "BENCH_ensemble.json"
+RECORD_PATH = RECORD_DIR / "BENCH_ensemble.json"
 
 
 def build_bodies(num_nets: int, width: int = WIDTH) -> list[ResNetBody]:

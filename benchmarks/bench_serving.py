@@ -38,11 +38,12 @@ query charged exactly once, submits past exhaustion refused with
 §III-D brute-force sweep for the record.
 
 Run as pytest (``pytest benchmarks/bench_serving.py -s``) or directly
-(``python benchmarks/bench_serving.py``).  Either way records are appended
-to the ``BENCH_serving.json`` history at the repo root; the pytest entries
-additionally assert the acceptance bars (coalesced throughput ≥ 1.5x
-sequential for 8 sessions at N=8 bodies with outputs ≤ 1e-5; deadline p95
-below FIFO p95 on the bursty trace; weighted shares within 15% of the
+(``python benchmarks/bench_serving.py``).  Either way records are appended to
+the ``BENCH_serving.json`` history in the gitignored
+``build/bench-records/`` (never the tracked file at the repo root); the
+pytest entries additionally assert the acceptance bars (coalesced throughput
+≥ 1.5x sequential for 8 sessions at N=8 bodies with outputs ≤ 1e-5; deadline
+p95 below FIFO p95 on the bursty trace; weighted shares within 15% of the
 configured 2:1; fp16 downlink reduction ≥ 1.9x; int8 ≥ 3.5x).
 """
 
@@ -58,7 +59,7 @@ if str(REPO_ROOT / "src") not in sys.path:  # allow `python benchmarks/bench_ser
 if str(REPO_ROOT / "benchmarks") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from _bench_utils import write_record as _write_record  # noqa: E402
+from _bench_utils import RECORD_DIR, write_record as _write_record  # noqa: E402
 from bench_ensemble import build_bodies, time_fn  # noqa: E402
 from repro import nn  # noqa: E402
 from repro.attacks import (  # noqa: E402
@@ -102,7 +103,7 @@ SESSION_COUNTS = (2, 4, 8)
 REQUEST_BATCH = 1  # single-image interactive requests, the serving regime
 WIDTH = 16
 SPATIAL = 8
-RECORD_PATH = REPO_ROOT / "BENCH_serving.json"
+RECORD_PATH = RECORD_DIR / "BENCH_serving.json"
 
 
 def _make_service(bodies, max_batch: int, num_sessions: int):

@@ -94,6 +94,7 @@ def overload_walk():
                             patience_ticks=1, min_ensemble_fraction=0.5)
     service, sessions = build_service(overload=policy, max_queue=8)
     features = np.random.default_rng(1).random((1, 8, 8, 8), dtype=np.float32)
+    ladder = service.overload
     print("overload ladder (queue 8, high watermark 0.5):")
     for step in range(8):
         # Keep pressure on for the first half, then let the queue drain.
@@ -103,16 +104,14 @@ def overload_walk():
                     session.submit_features(features)
         service.tick()
         print(f"  tick {step}: pending {service.pending}, "
-              f"level {service.stats.overload_level} "
-              f"({service.overload.level_name}), "
+              f"level {ladder.level} ({ladder.level_name}), "
               f"degraded responses so far {service.stats.degraded_responses}")
     service.run_until_idle()
     for _ in range(3):
         service.tick()  # quiet observations walk the ladder back down
-    print(f"  drained: level {service.stats.overload_level} "
-          f"({service.overload.level_name}), "
-          f"{service.stats.overload_escalations} escalations / "
-          f"{service.stats.overload_recoveries} recoveries\n")
+    print(f"  drained: level {ladder.level} ({ladder.level_name}), "
+          f"{ladder.escalations} escalations / "
+          f"{ladder.recoveries} recoveries\n")
 
 
 def main() -> None:

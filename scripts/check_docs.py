@@ -58,7 +58,6 @@ SERVING_MODULES = (
     "repro.privacy.budget",
     "repro.privacy.rotation",
     "repro.telemetry",
-    "repro.telemetry.metrics",
     "repro.telemetry.sketch",
 )
 

@@ -58,17 +58,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 
-#: Where the gates append what they measured (gitignored), so running
-#: the gates never rewrites the tracked ``BENCH_*.json`` history files.
-RECORD_DIR = REPO_ROOT / "build" / "bench-records"
-
-
-def write_gate_record(bench, record: dict) -> Path:
-    """Append a gate's record to its ``BENCH_*.json`` under RECORD_DIR."""
-    RECORD_DIR.mkdir(parents=True, exist_ok=True)
-    return bench.write_record(record, RECORD_DIR / bench.RECORD_PATH.name)
-
-
 def load_bench(name: str):
     """Import a benchmarks/ module by file (benchmarks/ is not a package)."""
     spec = importlib.util.spec_from_file_location(
@@ -129,7 +118,7 @@ def check_kernel_fusion() -> list[str]:
 
     def measure() -> list[str]:
         record = bench.run_kernel_fusion_benchmark()
-        write_gate_record(bench, record)
+        bench.write_record(record)
         bench.print_kernel_fusion(record)
         failures = []
         if record["max_abs_diff"] > 1e-5:
@@ -177,7 +166,7 @@ def check_serving() -> list[str]:
 
     def measure() -> list[str]:
         record = bench.run_benchmark(session_counts=(4, 8), repeats=3)
-        write_gate_record(bench, record)
+        bench.write_record(record)
         bench.print_record(record)
         failures = []
         for row in record["results"]:
@@ -207,7 +196,7 @@ def check_schedulers() -> list[str]:
 
     def measure() -> list[str]:
         record = bench.run_scheduler_benchmark(repeats=3)
-        write_gate_record(bench, record)
+        bench.write_record(record)
         bench.print_scheduler_record(record)
         failures = []
         ratio = record["throughput"]["fair_vs_fifo"]
@@ -261,7 +250,7 @@ def check_chaos() -> list[str]:
     """
     bench = load_bench("bench_serving")
     record = bench.run_chaos_benchmark()
-    write_gate_record(bench, record)
+    bench.write_record(record)
     bench.print_chaos_record(record)
     failures = []
     for name in ("baseline", "chaos"):
@@ -288,7 +277,7 @@ def check_fleet() -> list[str]:
     """
     bench = load_bench("bench_serving")
     record = bench.run_fleet_chaos_benchmark()
-    write_gate_record(bench, record)
+    bench.write_record(record)
     bench.print_fleet_chaos_record(record)
     failures = []
     for name in ("baseline", "chaos"):
@@ -327,7 +316,7 @@ def check_fleet_scale() -> list[str]:
     """
     bench = load_bench("bench_serving")
     record = bench.run_fleet_scale_benchmark()
-    write_gate_record(bench, record)
+    bench.write_record(record)
     bench.print_fleet_scale_record(record)
     failures = []
     for name in ("static", "autoscaled"):
@@ -376,7 +365,7 @@ def check_privacy() -> list[str]:
     """
     bench = load_bench("bench_serving")
     record = bench.run_privacy_benchmark()
-    write_gate_record(bench, record)
+    bench.write_record(record)
     bench.print_privacy_record(record)
     failures = []
     leak = record["subset_leak"]

@@ -162,11 +162,6 @@ class FleetStats:
         """The counters as a plain dict (for benchmark JSON records)."""
         return dataclasses.asdict(self)
 
-    def publish(self, registry, prefix: str = "fleet") -> None:
-        """Snapshot every counter into ``prefix.field`` gauges on a
-        :class:`~repro.telemetry.MetricsRegistry`."""
-        registry.publish_fields(self, prefix)
-
 
 class HashRing:
     """Consistent-hash ring with virtual nodes, keyed on session id.

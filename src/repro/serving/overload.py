@@ -22,9 +22,9 @@ Escalation and recovery are governed by *hysteresis*: queue pressure
 ``patience_ticks`` consecutive observations to climb one level, and
 below the low watermark equally long to step back down — so a single
 bursty tick neither degrades the fleet nor does a single quiet one
-snap it back into overload.  Every transition is visible in
-``ServiceStats`` (``overload_level`` / ``overload_escalations`` /
-``overload_recoveries``).
+snap it back into overload.  Every transition is visible on the
+controller itself (``OverloadController.level`` / ``escalations`` /
+``recoveries``, reached as ``service.overload``).
 """
 
 from __future__ import annotations

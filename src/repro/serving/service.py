@@ -66,7 +66,7 @@ idempotent retries are deduplicated against the in-queue id set, and an
 optional :class:`~repro.serving.overload.OverloadController` walks the
 degradation ladder (shed best-effort tenants → narrow the codec →
 shrink the ensemble) under sustained queue pressure — every step
-counted in :class:`ServiceStats` and reversed when pressure clears.
+counted on the controller and reversed when pressure clears.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ submit_bytes` decodes wire frames zero-copy.  Served bytes are
 
 #: :class:`ServiceStats` fields that are *levels*, not counters: fleet
 #: aggregation takes their max, everything else sums.
-_LEVEL_STATS = frozenset({"peak_coalesced", "overload_level"})
+_LEVEL_STATS = frozenset({"peak_coalesced"})
 
 
 @dataclasses.dataclass
@@ -279,8 +279,9 @@ class ServiceStats:
     into fleet totals (``sum(stats_list, ServiceStats())``).  Merging is
     field-driven over ``dataclasses.fields``, so a counter added later
     can never be silently dropped from fleet aggregation: every field
-    sums, except the *level* fields (:data:`_LEVEL_STATS` — current
-    ladder level and peak group size), which take the max.
+    sums, except the *level* fields (:data:`_LEVEL_STATS` — the peak
+    group size), which take the max.  The overload ladder's level and
+    transition counts are read from the controller (``service.overload``).
     """
 
     ticks: int = 0
@@ -299,9 +300,6 @@ class ServiceStats:
     failed_requests: int = 0     # terminally FAILED (crash retries exhausted)
     shed_best_effort: int = 0    # weight-0 submits refused under overload
     degraded_responses: int = 0  # responses narrowed / ensemble-shrunk
-    overload_level: int = 0      # current ladder level (see serving.overload)
-    overload_escalations: int = 0
-    overload_recoveries: int = 0
     privacy_charged_queries: int = 0  # served queries charged to a budget
     privacy_refusals: int = 0    # submits/serves refused past exhaustion
     privacy_exhausted_sessions: int = 0  # sessions closed by a spent budget
@@ -326,11 +324,6 @@ class ServiceStats:
             else:
                 setattr(self, field.name, mine + theirs)
         return self
-
-    def publish(self, registry, prefix: str = "service") -> None:
-        """Snapshot every stat field into ``prefix.field`` gauges on a
-        :class:`~repro.telemetry.MetricsRegistry`."""
-        registry.publish_fields(self, prefix)
 
     def __add__(self, other: "ServiceStats") -> "ServiceStats":
         """Combined counters of two stat blocks (neither is mutated)."""
@@ -723,10 +716,8 @@ class InferenceService:
                 self.stats.expired_requests += 1
                 self._finish(request, RequestState.EXPIRED)
         if self.overload is not None:
-            self.stats.overload_level = self.overload.observe(
-                self.scheduler.pending, self.config.max_queue)
-            self.stats.overload_escalations = self.overload.escalations
-            self.stats.overload_recoveries = self.overload.recoveries
+            self.overload.observe(self.scheduler.pending,
+                                  self.config.max_queue)
         group = self.scheduler.next_group(self.config.max_batch, now=self.now)
         if not group:
             return []

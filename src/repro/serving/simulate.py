@@ -156,8 +156,9 @@ class SimulationReport:
     per-tenant p50/p95 via :meth:`session_percentile`.
 
     At fleet scale the exact per-request lists are the memory bill, so
-    they are **opt-in** (``retain_latencies=`` on the simulators): every
-    replay always feeds ``latency_sketch`` (aggregate) and
+    the trace decides whether they are kept: a list/tuple trace keeps
+    them, a streamed (generator) trace is sketch-only.  Every replay
+    always feeds ``latency_sketch`` (aggregate) and
     ``sketch_by_session`` (small per-tenant
     :class:`~repro.telemetry.QuantileSketch` summaries, O(sessions · k)
     total), and :meth:`percentile` / :meth:`session_percentile` fall
@@ -304,40 +305,23 @@ class _Pending:
 _ARRIVAL, _SUBMIT, _TIMEOUT, _FAULT, _SCALE = 0, 1, 2, 3, 4
 
 
-def _prepare_trace(trace, retain_latencies):
+def _prepare_trace(trace):
     """Resolve a trace into a lazy arrival iterator plus the retain flag.
 
     List/tuple traces are sorted eagerly (back-compat: arbitrary order
-    allowed) and default to exact latency retention; any other iterable
-    streams lazily — arrivals must then already be time-monotonic — and
-    defaults to sketch-only reporting, since a streaming trace is
-    exactly the fleet-scale case the exact lists would sink.
+    allowed) and keep exact latency lists; any other iterable streams
+    lazily — arrivals must then already be time-monotonic — and is
+    sketch-only, since a streaming trace is exactly the fleet-scale case
+    the exact lists would sink.
     """
     if isinstance(trace, (list, tuple)):
-        arrivals = iter(sorted(trace, key=lambda a: a.time))
-        retain = True if retain_latencies is None else bool(retain_latencies)
-    else:
-        arrivals = iter(trace)
-        retain = False if retain_latencies is None else bool(retain_latencies)
-    return arrivals, retain
-
-
-def _publish_metrics(metrics, prefix, tracked_count, served_total,
-                     violations, retry_attempts, sketch, latency_sum):
-    """Publish one replay's aggregates into a MetricsRegistry."""
-    metrics.counter(f"{prefix}.submitted").inc(tracked_count)
-    metrics.counter(f"{prefix}.served").inc(served_total)
-    metrics.counter(f"{prefix}.violations").inc(violations)
-    metrics.counter(f"{prefix}.retries").inc(retry_attempts)
-    histogram = metrics.histogram(f"{prefix}.latency_s",
-                                  capacity=sketch.capacity)
-    histogram.sketch.merge(sketch)
-    histogram.sum += latency_sum
+        return iter(sorted(trace, key=lambda a: a.time)), True
+    return iter(trace), False
 
 
 def _replay(owner, handles, sessions, trace, cost: TickCost,
             default_features, retry: RetryPolicy | None,
-            faults: FaultInjector | None, retain_latencies, metrics,
+            faults: FaultInjector | None,
             next_heartbeat=lambda: math.inf, replica_faults=(),
             autoscaler=None, admission=None) -> tuple[dict, dict]:
     """The one event loop behind :func:`simulate` and :func:`simulate_fleet`.
@@ -351,7 +335,7 @@ def _replay(owner, handles, sessions, trace, cost: TickCost,
     """
     start = dataclasses.replace(owner.stats)  # a service's stats are live
     session_by_id = {s.session_id: s for s in sessions}
-    arrivals, retain = _prepare_trace(trace, retain_latencies)
+    arrivals, retain = _prepare_trace(trace)
     latencies: list[float] = []
     completions: list[float] = []
     by_session: dict[int, list[float]] = {}
@@ -612,10 +596,6 @@ def _replay(owner, handles, sessions, trace, cost: TickCost,
                        and duplicates == 0)
 
     stats = owner.stats
-    if metrics is not None:
-        _publish_metrics(metrics, "sim", len(tracked), served_total,
-                         violations, retry_attempts, sketch, latency_sum)
-        stats.publish(metrics, "service")
     decisions = list(admission_decisions.values())
     actions = [action for _, action, _, _ in scale_log]
     report = dict(
@@ -649,9 +629,7 @@ def _replay(owner, handles, sessions, trace, cost: TickCost,
 def simulate(service: InferenceService, sessions, trace, cost: TickCost,
              default_features: np.ndarray | None = None,
              retry: RetryPolicy | None = None,
-             faults: FaultInjector | None = None,
-             retain_latencies: bool | None = None,
-             metrics=None) -> SimulationReport:
+             faults: FaultInjector | None = None) -> SimulationReport:
     """Replay ``trace`` through ``service`` on a virtual clock.
 
     ``sessions`` is an indexable of open :class:`Session` objects
@@ -665,12 +643,9 @@ def simulate(service: InferenceService, sessions, trace, cost: TickCost,
     historical contract) or any iterable/generator of
     :class:`Arrival` objects in non-decreasing time order, which is
     consumed **lazily**: a 10^6-arrival stream never materialises.
-    ``retain_latencies`` controls the exact per-request latency lists on
-    the report (``None`` = retain for list traces, sketch-only for
-    streamed ones); the mergeable quantile sketches are always fed.
-    ``metrics``, when given, receives the replay's aggregate counters
-    and latency histogram (see :class:`~repro.telemetry.MetricsRegistry`)
-    plus the service's stat fields as gauges.
+    A list/tuple trace keeps the exact per-request latency lists on the
+    report; a streamed one is sketch-only.  The mergeable quantile
+    sketches are always fed.
 
     Trace times are *relative*: they are rebased onto the service's
     current (monotonic, never-rewinding) clock, so repeated ``simulate``
@@ -688,8 +663,7 @@ def simulate(service: InferenceService, sessions, trace, cost: TickCost,
     """
     faults = faults if faults is not None else service.faults
     report, _ = _replay(service, (ReplicaHandle(0, service),), sessions,
-                        trace, cost, default_features, retry, faults,
-                        retain_latencies, metrics)
+                        trace, cost, default_features, retry, faults)
     return SimulationReport(**report)
 
 
@@ -764,8 +738,6 @@ def simulate_fleet(fleet, sessions, trace, cost: TickCost,
                    default_features: np.ndarray | None = None,
                    retry: RetryPolicy | None = None,
                    faults: FaultInjector | None = None,
-                   retain_latencies: bool | None = None,
-                   metrics=None,
                    autoscaler=None,
                    admission=None) -> FleetSimulationReport:
     """Replay ``trace`` through a :class:`~repro.serving.fleet.ServiceFleet`.
@@ -788,8 +760,8 @@ def simulate_fleet(fleet, sessions, trace, cost: TickCost,
     terminal state *across failover*, and ``duplicate_serves`` proves
     no request was served twice.
 
-    ``trace`` streams lazily exactly as in :func:`simulate` (see
-    ``retain_latencies`` / ``metrics`` there).  An ``autoscaler``
+    ``trace`` streams lazily, and decides latency-list retention,
+    exactly as in :func:`simulate`.  An ``autoscaler``
     (:class:`~repro.serving.autoscale.Autoscaler` over this fleet) adds
     periodic control-loop events to the heap — its spawns and drains
     happen mid-replay, replicas appearing and disappearing under live
@@ -813,15 +785,11 @@ def simulate_fleet(fleet, sessions, trace, cost: TickCost,
     # in ascending replica id order (ids only ever grow).
     report, fleet_only = _replay(
         fleet, fleet._handles.values(), sessions, trace, cost,
-        default_features, retry, faults, retain_latencies, metrics,
+        default_features, retry, faults,
         next_heartbeat=fleet.next_heartbeat_time,
         replica_faults=(faults.plan.replica_faults if faults is not None
                         else ()),
         autoscaler=autoscaler, admission=admission)
-    if metrics is not None:
-        fleet.fleet_stats.publish(metrics, "fleet")
-        metrics.gauge("fleet.ring_replicas").set(
-            len(fleet.ring.replica_ids))
     return FleetSimulationReport(
         **report, **fleet_only,
         migrated_sessions=(fleet.fleet_stats.migrated_sessions

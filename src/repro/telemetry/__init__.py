@@ -1,38 +1,19 @@
-"""Streaming telemetry: quantile sketches and a mergeable metrics plane.
+"""Streaming telemetry: mergeable quantile sketches.
 
 Fleet-scale traffic (10^4–10^6 sessions) cannot afford O(requests)
-latency lists or per-measurement schema changes, so this package
-provides the two primitives the serving/simulation tier aggregates
-through:
-
-* :class:`QuantileSketch` — a deterministic, mergeable streaming
-  quantile summary (Munro–Paterson-style multi-level compaction) with
-  ≤ 1%-of-rank error against ``np.percentile``, used by
-  :class:`~repro.serving.simulate.SimulationReport` for p50/p95/p99 at
-  O(capacity · log n) memory and merged across replicas/sessions.
-* :class:`MetricsRegistry` — named :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` instruments that any component publishes into
-  without a schema change; registries merge like
-  :class:`~repro.serving.service.ServiceStats` (counters sum, gauges
-  max, histograms merge sketches).
+latency lists, so this package provides the primitive the
+serving/simulation tier aggregates latencies through:
+:class:`QuantileSketch`, a deterministic, mergeable streaming quantile
+summary (Munro–Paterson-style multi-level compaction) with
+≤ 1%-of-rank error against ``np.percentile``, used by
+:class:`~repro.serving.simulate.SimulationReport` for p50/p95/p99 at
+O(capacity · log n) memory and merged across replicas/sessions.
 
 The package is dependency-light (NumPy only) and imports nothing from
 :mod:`repro.serving`, so telemetry can be consumed anywhere in the
 stack without cycles.
 """
 
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.telemetry.sketch import QuantileSketch
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "QuantileSketch",
-]
+__all__ = ["QuantileSketch"]

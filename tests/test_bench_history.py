@@ -67,3 +67,23 @@ class TestWriteRecord:
 
     def test_missing_file_is_empty_history(self, bench_utils, tmp_path):
         assert bench_utils.load_history(tmp_path / "absent.json") == []
+
+    def test_creates_missing_directories(self, bench_utils, tmp_path):
+        path = tmp_path / "build" / "bench-records" / "BENCH_test.json"
+        bench_utils.write_record({"benchmark": "a", "run": 0}, path)
+        assert [r["run"] for r in bench_utils.load_history(path)] == [0]
+
+
+@pytest.mark.parametrize("name", ["bench_ensemble", "bench_attack",
+                                  "bench_serving"])
+def test_default_record_path_is_the_gitignored_record_dir(bench_utils, name):
+    """Benchmark runs append under build/bench-records/, never to the
+    tracked BENCH_*.json files at the repo root."""
+    repo_root = _UTILS_PATH.parent.parent
+    assert bench_utils.RECORD_DIR == repo_root / "build" / "bench-records"
+    spec = importlib.util.spec_from_file_location(
+        name, _UTILS_PATH.parent / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.RECORD_PATH.parent == bench_utils.RECORD_DIR
+    assert module.write_record.__defaults__ == (module.RECORD_PATH,)

@@ -1,5 +1,6 @@
 """Docs are part of the contract: the serving API must pydoc-render with
-full docstring coverage, and the docs tree must exist with live links."""
+full docstring coverage, and the docs tree must exist with live links
+and live API attribute references."""
 
 import importlib.util
 from pathlib import Path
@@ -32,6 +33,14 @@ def test_serving_api_renders_with_docstrings(tmp_path):
 def test_no_dead_relative_links():
     check_docs = load_check_docs()
     failures = check_docs.check_links()
+    assert not failures, "\n".join(failures)
+
+
+def test_no_stale_attribute_references():
+    """Every backticked ``Name.attr`` in README/docs names a live attribute
+    of an exported API name, so a removed field fails here too."""
+    check_docs = load_check_docs()
+    failures = check_docs.check_attribute_refs()
     assert not failures, "\n".join(failures)
 
 

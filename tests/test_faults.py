@@ -303,7 +303,7 @@ class TestOverloadInService:
             Client(nn.Identity(), nn.Identity()), weight=0.0)
         self.fill(sessions[0], 6)  # 6/8 > high watermark
         service.tick()  # observe → level 1
-        assert service.stats.overload_level == 1
+        assert service.overload.level == 1
         with pytest.raises(BackpressureError, match="best-effort"):
             best_effort.submit_features(FEATURES)
         assert service.stats.shed_best_effort == 1
@@ -316,7 +316,7 @@ class TestOverloadInService:
         self.fill(sessions[0], 6)
         service.tick()  # level 1
         service.tick()  # level 2: narrow-codec active for this pass
-        assert service.stats.overload_level == 2
+        assert service.overload.level == 2
         assert service.stats.degraded_responses > 0
         response = sessions[0].take_response(2)  # served during level-2 tick
         assert response is not None
@@ -325,15 +325,15 @@ class TestOverloadInService:
         service.run_until_idle()
         for _ in range(4):  # quiet ticks walk the ladder back down
             service.tick()
-        assert service.stats.overload_level == 0
-        assert service.stats.overload_recoveries >= 2
+        assert service.overload.level == 0
+        assert service.overload.recoveries >= 2
 
     def test_ensemble_shrink_aliases_all_positions(self):
         service, sessions = self.make_overloaded()
         self.fill(sessions[0], 8)  # brim-full: pressure survives the drain
         for _ in range(3):
             service.tick()  # climb to level 3
-        assert service.stats.overload_level == 3
+        assert service.overload.level == 3
         request_id = sessions[1].submit_features(FEATURES)
         service.run_until_idle()
         response = sessions[1].take_response(request_id)

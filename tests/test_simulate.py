@@ -228,9 +228,21 @@ class TestStreamingReports:
         assert len(report.latencies_s) == 100
         assert report.served == 100
 
-    def test_retain_override_on_generator(self):
-        report = self.run(self.stream(100), retain_latencies=True)
-        assert len(report.latencies_s) == 100
+    def test_tuple_trace_keeps_lists_and_its_stream_does_not(self):
+        arrivals = tuple(poisson_trace(num_sessions=4, num_requests=100,
+                                       rate_hz=500.0,
+                                       rng=np.random.default_rng(7)))
+        kept = self.run(arrivals)
+        streamed = self.run(iter(arrivals))  # same arrivals, as a stream
+        assert len(kept.latencies_s) == 100
+        assert sum(map(len, kept.latencies_by_session.values())) == 100
+        assert streamed.latencies_s == []
+        assert streamed.latencies_by_session == {}
+        # Retention changes what is kept, never what is replayed.
+        assert streamed.served_total == kept.served_total == 100
+        assert streamed.ticks == kept.ticks
+        assert streamed.latency_sum_s == kept.latency_sum_s
+        assert streamed.p99_s == kept.latency_sketch.percentile(99)
 
     def test_sketch_tracks_exact_percentiles(self):
         trace = poisson_trace(num_sessions=4, num_requests=400, rate_hz=500.0,
@@ -258,17 +270,6 @@ class TestStreamingReports:
         trace = [Arrival(0.5, 0), Arrival(0.1, 1)]  # historical contract
         report = self.run(trace)
         assert report.served == 2
-
-    def test_metrics_registry_receives_aggregates(self):
-        from repro.telemetry import MetricsRegistry
-        registry = MetricsRegistry()
-        report = self.run(self.stream(), metrics=registry)
-        assert registry.counter("sim.served").value == 200
-        histogram = registry.histogram("sim.latency_s")
-        assert histogram.count == 200
-        assert histogram.percentile(50) == pytest.approx(report.p50_s)
-        # The service's stat fields arrive as gauges.
-        assert registry.gauge("service.served_requests").value == 200
 
 
 class TestOneReplayCore:

@@ -1,17 +1,11 @@
-"""Accuracy, mergeability and registry semantics for repro.telemetry."""
+"""Accuracy, mergeability and validation of repro.telemetry's sketch."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    QuantileSketch,
-)
+from repro.telemetry import QuantileSketch
 
 QUANTILES = (0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.999)
 
@@ -149,91 +143,3 @@ class TestSketchValidation:
         with pytest.raises(ValueError):
             QuantileSketch(capacity=9)
 
-
-class TestInstruments:
-    def test_counter_monotone(self):
-        counter = Counter("requests")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ValueError):
-            counter.inc(-1.0)
-
-    def test_gauge_levels(self):
-        gauge = Gauge("queue_depth")
-        gauge.set(7)
-        gauge.set(3)
-        assert gauge.value == 3.0
-        with pytest.raises(ValueError):
-            gauge.set(math.inf)
-
-    def test_histogram_stats(self):
-        histogram = Histogram("latency")
-        assert histogram.percentile(50) == 0.0
-        assert histogram.mean == 0.0
-        for value in (1.0, 2.0, 3.0, 4.0):
-            histogram.observe(value)
-        assert histogram.count == 4
-        assert histogram.sum == 10.0
-        assert histogram.mean == 2.5
-        assert 1.0 <= histogram.percentile(50) <= 3.0
-
-
-class TestMetricsRegistry:
-    def test_get_or_create(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("b") is registry.gauge("b")
-        assert registry.histogram("c") is registry.histogram("c")
-        assert registry.names == ("a", "b", "c")
-
-    def test_cross_kind_collision_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("x")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.histogram("x")
-
-    def test_merge_semantics(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("served").inc(5)
-        b.counter("served").inc(7)
-        a.gauge("depth").set(3)
-        b.gauge("depth").set(9)
-        a.histogram("lat").observe(1.0)
-        b.histogram("lat").observe(3.0)
-        b.counter("only_b").inc(1)
-        assert a.merge(b) is a
-        assert a.counter("served").value == 12.0
-        assert a.gauge("depth").value == 9.0
-        assert a.histogram("lat").count == 2
-        assert a.counter("only_b").value == 1.0
-
-    def test_snapshot_shape(self):
-        registry = MetricsRegistry()
-        registry.counter("served").inc(2)
-        registry.gauge("depth").set(4)
-        registry.histogram("lat").observe(0.5)
-        snap = registry.snapshot()
-        assert snap["served"] == 2.0
-        assert snap["depth"] == 4.0
-        assert snap["lat"]["count"] == 1
-        assert set(snap["lat"]) == {"count", "sum", "p50", "p95", "p99"}
-
-    def test_publish_fields_from_dataclass(self):
-        import dataclasses
-
-        @dataclasses.dataclass
-        class Stats:
-            served: int = 11
-            depth: float = 2.5
-            flag: bool = True
-            label: str = "x"
-
-        registry = MetricsRegistry()
-        registry.publish_fields(Stats(), prefix="svc")
-        assert registry.gauge("svc.served").value == 11.0
-        assert registry.gauge("svc.depth").value == 2.5
-        assert "svc.flag" not in registry.names
-        assert "svc.label" not in registry.names
