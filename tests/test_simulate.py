@@ -11,15 +11,22 @@ from repro.ci.pipeline import Client
 from repro.latency.model import LatencyModel, SplitWorkload
 from repro.models.resnet import ResNet, ResNetConfig
 from repro.serving import (
+    AdmissionController,
+    AdmissionPolicy,
     Arrival,
+    Autoscaler,
+    AutoscalePolicy,
     DeadlineScheduler,
     FaultInjector,
     FaultPlan,
+    FleetPolicy,
     InferenceService,
+    ReplicaFault,
     RetryPolicy,
     ServiceFleet,
     TickCost,
     bursty_trace,
+    diurnal_trace,
     poisson_trace,
     simulate,
     simulate_fleet,
@@ -329,3 +336,64 @@ class TestOneReplayCore:
         assert fleet.ticks == bare.ticks
         assert fleet.makespan_s == bare.makespan_s
         assert bare.conservation_ok and fleet.conservation_ok
+
+
+class TestGoldenFleetReplay:
+    """One small seeded fleet replay with every control loop engaged —
+    autoscaler, admission, client retries, uplink frame faults and a
+    replica crash — pinned to its exact outcome.  The invariant tests
+    above hold for any outcome; this one fails when a serving change
+    moves what a seeded replay serves, retries, migrates or spawns."""
+
+    FEATURES = np.ones((1, 8, 4, 4), dtype=np.float32)
+    FRAME_FAULTS = FaultPlan(corrupt_rate=0.02, truncate_rate=0.01,
+                             drop_rate=0.02)
+
+    def replay(self):
+        seeds = iter(range(11, 100))
+
+        def replica():
+            return InferenceService(
+                Server([nn.Identity(), nn.Identity()]), max_batch=8,
+                max_queue=24, scheduler="fifo",
+                faults=FaultInjector(self.FRAME_FAULTS, seed=next(seeds)))
+
+        crash = FaultPlan(replica_faults=(ReplicaFault(replica=1,
+                                                       at_s=10.0),))
+        fleet = ServiceFleet(
+            [replica(), replica()],
+            policy=FleetPolicy(heartbeat_interval_s=0.5, suspect_after_s=2.0,
+                               down_after_s=4.0, checkpoint_interval_s=5.0),
+            faults=FaultInjector(crash, seed=5))
+        sessions = [fleet.adopt_session(Client(nn.Identity(), nn.Identity()),
+                                        rate_limit=None)
+                    for _ in range(200)]
+        autoscaler = Autoscaler(fleet, AutoscalePolicy(
+            min_replicas=2, max_replicas=4, scale_up_pressure=0.5,
+            scale_down_pressure=0.1, smoothing=0.4, patience=2,
+            cooldown_s=2.0, check_interval_s=0.25), replica_factory=replica)
+        admission = AdmissionController(AdmissionPolicy(
+            downgrade_pressure=0.7, reject_pressure=0.95))
+        trace = diurnal_trace(len(sessions), 3000, 30.0, period_s=15.0,
+                              peak_factor=8.0, seed=3)
+        retry = RetryPolicy(max_attempts=4, base_delay_s=0.05,
+                            multiplier=2.0, max_delay_s=1.0, jitter=0.1,
+                            timeout_s=5.0)
+        return simulate_fleet(fleet, sessions, trace,
+                              TickCost(0.010, 0.008, 0.0005),
+                              default_features=self.FEATURES, retry=retry,
+                              autoscaler=autoscaler, admission=admission)
+
+    def test_outcome_is_pinned(self):
+        report = self.replay()
+        assert report.terminal_counts == {
+            "cancelled": 0, "completed": 2996, "expired": 0, "failed": 1,
+            "rejected": 3, "throttled": 0}
+        assert report.ticks == 1230
+        assert report.retries == 321
+        assert len(report.migration_epsilon_log) == 288
+        assert report.spawns == 2
+        assert report.drains_scaled == 2
+        assert report.failovers == 1
+        assert report.duplicate_serves == 0
+        assert report.conservation_ok
