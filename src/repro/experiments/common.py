@@ -24,7 +24,6 @@ from repro.core.training import EnsemblerConfig, TrainingConfig
 from repro.data.datasets import DatasetBundle
 from repro.data.synthetic import celeba_hq_like, cifar10_like, cifar100_like
 from repro.models.resnet import ResNetConfig
-from repro.serving.service import ServingConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,44 +50,12 @@ class ExperimentPreset:
     attack: AttackConfig
     probe_size: int
     traffic_size: int
-    # Multi-tenant scheduler shape: how many concurrent client uploads one
-    # InferenceService tick coalesces, and the backpressure bound.
-    serving: ServingConfig = ServingConfig()
 
     def dataset(self, key: str) -> DatasetSpec:
         for spec in self.datasets:
             if spec.key == key:
                 return spec
         raise KeyError(f"preset '{self.name}' has no dataset '{key}'")
-
-    def inference_service(self, server_or_bodies, *, scheduler: str | None = None,
-                          codec: str | None = None, rate_limit=None):
-        """Build the preset-shaped multi-tenant serving front-end.
-
-        Accepts a configured :class:`~repro.ci.pipeline.Server` or a plain
-        body list (wrapped in a :class:`Server`, which stacks them), and
-        applies the preset's :class:`ServingConfig` scheduler shape.
-        ``scheduler`` / ``codec`` / ``rate_limit`` override the preset's
-        policy without rebuilding the config (e.g. ``scheduler="weighted"``
-        for proportional tenant shares, ``codec="int8"`` for quantised
-        downlinks, ``rate_limit=(100.0, 10)`` for a default per-session
-        token bucket).  Per-session QoS — a tenant's fair-share ``weight``
-        or its own bucket — is negotiated at ``open_session`` on the
-        returned service.
-        """
-        from repro.ci.pipeline import Server
-        from repro.serving.service import InferenceService, RateLimit
-
-        if not isinstance(server_or_bodies, Server):
-            server_or_bodies = Server(list(server_or_bodies))
-        config = self.serving
-        overrides = {k: v for k, v in
-                     (("scheduler", scheduler), ("codec", codec),
-                      ("rate_limit", RateLimit.parse(rate_limit)))
-                     if v is not None}
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-        return InferenceService.from_config(server_or_bodies, config)
 
     def ensembler_config(self, spec: DatasetSpec) -> EnsemblerConfig:
         return EnsemblerConfig(
@@ -143,7 +110,6 @@ def _tiny_preset() -> ExperimentPreset:
         ),
         probe_size=8,
         traffic_size=32,
-        serving=ServingConfig(max_batch=4, max_queue=16),
     )
 
 
@@ -187,7 +153,6 @@ def _small_preset() -> ExperimentPreset:
         ),
         probe_size=16,
         traffic_size=256,
-        serving=ServingConfig(max_batch=8, max_queue=64),
     )
 
 
@@ -224,7 +189,6 @@ def _paper_preset() -> ExperimentPreset:
         ),
         probe_size=64,
         traffic_size=1024,
-        serving=ServingConfig(max_batch=16, max_queue=256),
     )
 
 

@@ -37,14 +37,6 @@ def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: floa
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0,
-                  dtype=np.float32) -> np.ndarray:
-    """Glorot initialisation: N(0, gain^2 * 2 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(dtype)
-
-
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0,
                    dtype=np.float32) -> np.ndarray:
     """Glorot initialisation with a uniform distribution."""

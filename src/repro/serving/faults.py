@@ -3,8 +3,8 @@ stack.
 
 A production fleet fails in boring, repeatable ways — frames arrive
 corrupted or truncated, packets drop, networks add latency, a worker
-crashes mid stacked pass, a client stalls.  This module makes every one
-of those failures a *seeded, reproducible event*: a
+crashes mid stacked pass.  This module makes every one of those
+failures a *seeded, reproducible event*: a
 :class:`FaultInjector` draws each decision from its own
 ``numpy`` generator in a fixed call order, so a chaos replay is exactly
 as deterministic as a fault-free one — the same seed produces the same
@@ -21,8 +21,8 @@ The injector plugs into both halves of the stack:
   :class:`~repro.serving.errors.ProtocolError`) and at ``tick``
   (injected stacked-pass crashes);
 * :func:`~repro.serving.simulate.simulate` consults it per submission
-  for network delay and session stalls (client-side time effects the
-  service never observes).
+  for network delay (a client-side time effect the service never
+  observes).
 
 :class:`RetryPolicy` is the client half of fault tolerance: exponential
 backoff with deterministic jitter, reusing the *same request id* on
@@ -115,12 +115,9 @@ class FaultPlan:
     """What to break, and how often (all rates are probabilities in [0, 1]).
 
     ``tick_failures_at`` names exact tick indices (0-based, counted over
-    tick *attempts*) that fail regardless of ``tick_failure_rate`` — the
-    deterministic "worker crashes mid-pass at tick 3" scenario the chaos
-    gate replays.  ``stall_rate``/``stall_s`` model a client that goes
-    quiet: the simulator delays that submission by ``stall_s`` virtual
-    seconds.  ``delay_s`` is the *maximum* added network delay (uniform
-    draw).
+    tick *attempts*) that fail — the deterministic "worker crashes
+    mid-pass at tick 3" scenario the chaos gate replays.  ``delay_s`` is
+    the *maximum* added network delay (uniform draw).
     """
 
     corrupt_rate: float = 0.0    # uplink frame bytes flipped
@@ -128,23 +125,20 @@ class FaultPlan:
     drop_rate: float = 0.0       # uplink frame lost on the wire
     delay_rate: float = 0.0      # probability of added network delay
     delay_s: float = 0.0         # max added delay (uniform [0, delay_s])
-    tick_failure_rate: float = 0.0
     tick_failures_at: tuple[int, ...] = ()
-    stall_rate: float = 0.0      # probability a submission stalls
-    stall_s: float = 0.0         # stall duration (virtual seconds)
     replica_faults: tuple[ReplicaFault, ...] = ()  # fleet-level schedule
 
     def __post_init__(self):
         for name in ("corrupt_rate", "truncate_rate", "drop_rate",
-                     "delay_rate", "tick_failure_rate", "stall_rate"):
+                     "delay_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.corrupt_rate + self.truncate_rate + self.drop_rate > 1.0:
             raise ValueError("corrupt + truncate + drop rates must not "
                              "exceed 1 (one fault per frame)")
-        if self.delay_s < 0 or self.stall_s < 0:
-            raise ValueError("delay_s and stall_s must be >= 0")
+        if self.delay_s < 0:
+            raise ValueError("delay_s must be >= 0")
         object.__setattr__(self, "tick_failures_at",
                            tuple(int(t) for t in self.tick_failures_at))
         object.__setattr__(self, "replica_faults",
@@ -166,7 +160,6 @@ class FaultStats:
     dropped_frames: int = 0
     delays: int = 0
     tick_failures: int = 0
-    stalls: int = 0
     replica_crashes: int = 0      # replicas killed outright
     replica_hangs: int = 0        # tick loops frozen while holding work
     replica_partitions: int = 0   # router <-> replica links severed
@@ -256,16 +249,6 @@ class FaultInjector:
         self.stats.delays += 1
         return float(self._rng.uniform(0.0, plan.delay_s))
 
-    def session_stall(self, session_id: int) -> float:
-        """Virtual seconds this session's submission stalls (0.0 = none)."""
-        plan = self.plan
-        if plan.stall_rate <= 0.0 or plan.stall_s <= 0.0:
-            return 0.0
-        if float(self._rng.random()) >= plan.stall_rate:
-            return 0.0
-        self.stats.stalls += 1
-        return float(plan.stall_s)
-
     # -- replica-level faults (consumed by the fleet) --------------------
 
     def record_replica_fault(self, fault: ReplicaFault) -> ReplicaFault:
@@ -288,10 +271,6 @@ class FaultInjector:
     def tick_fails(self, tick_index: int) -> bool:
         """Whether tick attempt ``tick_index`` crashes mid stacked pass."""
         if tick_index in self.plan.tick_failures_at:
-            self.stats.tick_failures += 1
-            return True
-        if self.plan.tick_failure_rate > 0.0 \
-                and float(self._rng.random()) < self.plan.tick_failure_rate:
             self.stats.tick_failures += 1
             return True
         return False

@@ -8,17 +8,17 @@ module is the layer that makes N hardened
 :class:`~repro.serving.service.InferenceService` replicas behave like
 one service that loses machines and keeps serving:
 
-* :class:`HashRing` — consistent hashing with virtual nodes, keyed on
-  session id.  Removing a replica moves only ~1/N of sessions (its arc),
-  everyone else stays put — the property that bounds failover blast
-  radius and that the fleet chaos gate asserts (≤ ~1/N of live sessions
-  migrated per replica loss).
+* :class:`HashRing` — consistent hashing with :data:`VNODES` virtual
+  nodes per replica, keyed on session id.  Removing a replica moves only
+  ~1/N of sessions (its arc), everyone else stays put — the property
+  that bounds failover blast radius and that the fleet chaos gate
+  asserts (≤ ~1/N of live sessions migrated per replica loss).
 * :class:`FailureDetector` — heartbeat staleness on the virtual clock
   with :class:`OverloadController`-style hysteresis::
 
       HEALTHY ──(stale > suspect_after)──► SUSPECT ──(stale > down_after)──► DOWN
          ▲                                   │                               │
-         └──(recover_heartbeats on time)─────┘                    (fenced; failover)
+         └──(2 consecutive beats)────────────┘                    (fenced; failover)
 
       DRAINING is entered administratively (:meth:`ServiceFleet.drain`):
       out of the ring, still ticking its backlog.
@@ -86,6 +86,12 @@ from repro.serving.service import (
 from repro.serving.session import Session
 
 
+#: virtual nodes each replica places on the hash ring
+VNODES = 64
+#: consecutive on-time heartbeats that heal a SUSPECT replica
+RECOVER_HEARTBEATS = 2
+
+
 class ReplicaHealth(enum.Enum):
     """Health states of one replica, as seen by the failure detector."""
 
@@ -99,29 +105,23 @@ class ReplicaHealth(enum.Enum):
 class FleetPolicy:
     """Shape of the fleet's routing, detection and failover behaviour.
 
-    ``vnodes`` is the virtual-node count per replica on the hash ring
-    (more vnodes → smoother session spread and smaller migration
-    variance).  The detector declares a replica ``SUSPECT`` after
+    The detector declares a replica ``SUSPECT`` after
     ``suspect_after_s`` of heartbeat silence and ``DOWN`` (fenced,
     failed over) after ``down_after_s``; a suspect recovers after
-    ``recover_heartbeats`` consecutive heartbeats arrive.  Sessions are
-    checkpointed at most every ``checkpoint_interval_s`` virtual
+    :data:`RECOVER_HEARTBEATS` consecutive heartbeats arrive.  Sessions
+    are checkpointed at most every ``checkpoint_interval_s`` virtual
     seconds.  ``shrink_pressure`` is the fleet-wide queue-pressure ratio
     above which replicas are allowed to escalate to the
     ensemble-shrinking overload level.
     """
 
-    vnodes: int = 64
     heartbeat_interval_s: float = 0.01
     suspect_after_s: float = 0.025
     down_after_s: float = 0.05
-    recover_heartbeats: int = 2
     checkpoint_interval_s: float = 0.02
     shrink_pressure: float = 0.75
 
     def __post_init__(self):
-        if self.vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
         if not self.heartbeat_interval_s > 0:
             raise ValueError("heartbeat_interval_s must be positive")
         if not self.suspect_after_s > self.heartbeat_interval_s:
@@ -130,8 +130,6 @@ class FleetPolicy:
         if not self.down_after_s > self.suspect_after_s:
             raise ValueError("down_after_s must exceed suspect_after_s "
                              "(SUSPECT is the hysteresis band)")
-        if self.recover_heartbeats < 1:
-            raise ValueError("recover_heartbeats must be >= 1")
         if self.checkpoint_interval_s < 0:
             raise ValueError("checkpoint_interval_s must be >= 0")
         if not 0.0 < self.shrink_pressure <= 1.0:
@@ -168,16 +166,13 @@ class HashRing:
 
     Hashing is ``zlib.crc32`` over stable strings, so placement is
     deterministic across processes (never a function of
-    ``PYTHONHASHSEED``).  Each replica contributes ``vnodes`` points;
+    ``PYTHONHASHSEED``).  Each replica contributes :data:`VNODES` points;
     a session is owned by the first point clockwise of its own hash.
     Removing a replica deletes only that replica's points, so exactly
     the sessions on its arcs move — the ~1/N failover blast radius.
     """
 
-    def __init__(self, vnodes: int = 64):
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = int(vnodes)
+    def __init__(self):
         self._points: list[tuple[int, int]] = []  # (hash, replica_id)
         self._replicas: set[int] = set()
 
@@ -201,7 +196,7 @@ class HashRing:
         if replica_id in self._replicas:
             return
         self._replicas.add(replica_id)
-        for v in range(self.vnodes):
+        for v in range(VNODES):
             point = (self._hash(f"replica-{replica_id}/vnode-{v}"),
                      replica_id)
             bisect.insort(self._points, point)
@@ -229,7 +224,7 @@ class FailureDetector:
 
     The router records each replica's heartbeats on the virtual clock;
     :meth:`observe` turns staleness into state transitions (see the
-    module diagram).  Recovery requires ``recover_heartbeats``
+    module diagram).  Recovery requires :data:`RECOVER_HEARTBEATS`
     *consecutive* heartbeats — one lucky packet does not un-suspect a
     replica, mirroring the patience counters of
     :class:`~repro.serving.overload.OverloadController`.  ``DOWN`` is
@@ -253,10 +248,6 @@ class FailureDetector:
         """The replica's current health state."""
         return self._health[replica_id]
 
-    def healths(self) -> dict[int, ReplicaHealth]:
-        """A snapshot of every tracked replica's health."""
-        return dict(self._health)
-
     def mark(self, replica_id: int, health: ReplicaHealth) -> None:
         """Administratively force a state (DRAINING, or DOWN for fencing)."""
         self._health[replica_id] = health
@@ -270,7 +261,7 @@ class FailureDetector:
         self._last_seen[replica_id] = max(self._last_seen[replica_id], now)
         if health is ReplicaHealth.SUSPECT:
             self._streak[replica_id] += 1
-            if self._streak[replica_id] >= self.policy.recover_heartbeats:
+            if self._streak[replica_id] >= RECOVER_HEARTBEATS:
                 self._health[replica_id] = ReplicaHealth.HEALTHY
                 self._streak[replica_id] = 0
 
@@ -386,7 +377,7 @@ class ServiceFleet:
         self.checkpoints = (checkpoints if checkpoints is not None
                             else CheckpointStore(
                                 self.policy.checkpoint_interval_s))
-        self.ring = HashRing(self.policy.vnodes)
+        self.ring = HashRing()
         self.detector = FailureDetector(self.policy)
         self.fleet_stats = FleetStats()
         self.now = 0.0

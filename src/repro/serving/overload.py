@@ -88,8 +88,7 @@ class OverloadController:
     unit-tested (and replayed) in isolation.
     """
 
-    def __init__(self, policy: OverloadPolicy | None = None,
-                 max_level: int = LEVEL_SHRINK_ENSEMBLE):
+    def __init__(self, policy: OverloadPolicy | None = None):
         self.policy = policy if policy is not None else OverloadPolicy()
         self.level = LEVEL_NORMAL
         self.escalations = 0   # total upward transitions
@@ -97,7 +96,6 @@ class OverloadController:
         self._over = 0         # consecutive observations above high water
         self._under = 0        # consecutive observations below low water
         self._max_level = LEVEL_SHRINK_ENSEMBLE
-        self.max_level = max_level
 
     @property
     def max_level(self) -> int:

@@ -109,9 +109,8 @@ class Scheduler:
         """Shed queued requests whose explicit ``deadline`` passed.
 
         Called by the service at the top of each tick when
-        ``ServingConfig.shed_expired`` is on; only *explicit* per-request
-        deadlines expire (a deadline scheduler's implicit SLO target is a
-        latency goal, not an expiry).  Returns the shed requests so the
+        ``ServingConfig.shed_expired`` is on; requests without a
+        deadline never expire.  Returns the shed requests so the
         service can mark them terminally ``EXPIRED``.
         """
         raise NotImplementedError
@@ -271,7 +270,7 @@ class WeightedFairScheduler(Scheduler):
     :meth:`set_session_weight`; unset sessions default to 1.0) and a
     *deficit* counter measured in samples.  The scheduler runs one
     *continuous* deficit-round-robin scan over the session rotation:
-    each visit a session's deficit grows by ``weight * quantum`` samples
+    each visit a session's deficit grows by ``weight`` samples
     and it pops queued requests while the deficit covers their batch
     size, then the scan moves on.  A tick's group is simply the next
     ``max_batch``-sized chunk of that service sequence — the scan
@@ -304,10 +303,7 @@ class WeightedFairScheduler(Scheduler):
 
     name = "weighted"
 
-    def __init__(self, *, quantum: float = 1.0):
-        if quantum <= 0:
-            raise ValueError("quantum must be positive")
-        self.quantum = quantum
+    def __init__(self):
         self._queues: dict[int, collections.deque[UploadRequest]] = {}
         self._rotation: collections.deque[int] = collections.deque()
         self._weights: dict[int, float] = {}
@@ -436,7 +432,7 @@ class WeightedFairScheduler(Scheduler):
                 if self._open_visit != session_id:
                     self._deficits[session_id] = (
                         self._deficits.get(session_id, 0.0)
-                        + eff_weight(session_id) * self.quantum)
+                        + eff_weight(session_id))
                     self._open_visit = session_id
                 served_any = False
                 while (queue and len(group) < max_batch
@@ -509,37 +505,31 @@ class DeadlineScheduler(Scheduler):
     from the earliest-deadline request and grows — still in deadline
     order, matching coalesce keys only — while the *estimated* pass cost
     ``pass_overhead_s + samples * sample_cost_s`` keeps fitting the
-    leader's remaining slack, the payload stays under ``max_group_bytes``
-    and the sample count under ``max_group_samples``.  The fixed
-    ``max_batch`` request count is deliberately ignored: group size is a
-    function of payload and tail-latency target, which is what lets a
-    burst collapse into one or two wide passes instead of many
-    fixed-width ones.
+    leader's remaining slack and the sample count stays under
+    ``max_group_samples``.  The fixed ``max_batch`` request count is
+    deliberately ignored: group size is a function of payload and
+    deadline slack, which is what lets a burst collapse into one or two
+    wide passes instead of many fixed-width ones.
 
-    Requests without an explicit ``deadline`` get the implicit SLO
-    ``arrival_time + target_latency_s`` (or no deadline when the target
-    is ``None``).  :meth:`next_event_time` returns the latest safe tick
-    start — ``earliest deadline - estimated pass cost`` — so an
-    event-driven front-end can idle until either the batch budget fills
-    or slack runs out.
+    Requests without a ``deadline`` queue behind every deadlined
+    request.  :meth:`next_event_time` returns the latest safe tick start
+    — ``earliest deadline - estimated pass cost`` — so an event-driven
+    front-end can idle until either the batch budget fills or slack runs
+    out.
     """
 
     name = "deadline"
 
     def __init__(self, *, pass_overhead_s: float = 0.0,
                  sample_cost_s: float = 0.0,
-                 target_latency_s: float | None = None,
-                 max_group_samples: int = 64,
-                 max_group_bytes: int | None = None):
+                 max_group_samples: int = 64):
         if pass_overhead_s < 0 or sample_cost_s < 0:
             raise ValueError("cost estimates must be non-negative")
         if max_group_samples < 1:
             raise ValueError("max_group_samples must be >= 1")
         self.pass_overhead_s = pass_overhead_s
         self.sample_cost_s = sample_cost_s
-        self.target_latency_s = target_latency_s
         self.max_group_samples = max_group_samples
-        self.max_group_bytes = max_group_bytes
         self._items: list[tuple[float, int, UploadRequest]] = []  # sorted
         self._seq = 0
 
@@ -547,16 +537,10 @@ class DeadlineScheduler(Scheduler):
     def pending(self) -> int:
         return len(self._items)
 
-    def _effective_deadline(self, request: UploadRequest) -> float:
-        if request.deadline is not None:
-            return request.deadline
-        if self.target_latency_s is not None:
-            return (request.arrival_time or 0.0) + self.target_latency_s
-        return math.inf
-
     def enqueue(self, request: UploadRequest) -> None:
-        bisect.insort(self._items, (self._effective_deadline(request),
-                                    self._seq, request))
+        deadline = (request.deadline if request.deadline is not None
+                    else math.inf)
+        bisect.insort(self._items, (deadline, self._seq, request))
         self._seq += 1
 
     def _estimate_pass_s(self, samples: int) -> float:
@@ -569,7 +553,6 @@ class DeadlineScheduler(Scheduler):
         group = [leader]
         key = leader.coalesce_key
         samples = leader.batch_size
-        nbytes = leader.wire_nbytes()
         slack = leader_deadline - now  # inf for SLO-less leaders
         index = 0
         while index < len(self._items) and samples < self.max_group_samples:
@@ -580,15 +563,11 @@ class DeadlineScheduler(Scheduler):
             new_samples = samples + candidate.batch_size
             if new_samples > self.max_group_samples:
                 break
-            if (self.max_group_bytes is not None
-                    and nbytes + candidate.wire_nbytes() > self.max_group_bytes):
-                break
             if math.isfinite(slack) and self._estimate_pass_s(new_samples) > slack:
                 break  # growing further would blow the earliest deadline
             self._items.pop(index)
             group.append(candidate)
             samples = new_samples
-            nbytes += candidate.wire_nbytes()
         return group
 
     def next_event_time(self, now: float) -> float:
@@ -619,8 +598,7 @@ class DeadlineScheduler(Scheduler):
         return cancelled
 
     def drop_expired(self, now: float) -> list[UploadRequest]:
-        """Shed requests whose *explicit* deadline passed (the implicit
-        ``target_latency_s`` SLO orders the queue but never expires)."""
+        """Shed requests whose deadline passed."""
         expired = [item[2] for item in self._items
                    if item[2].deadline is not None and item[2].deadline < now]
         if expired:
@@ -630,16 +608,10 @@ class DeadlineScheduler(Scheduler):
         return expired
 
 
-SCHEDULERS["fair-share"] = FairShareScheduler  # ergonomic aliases
-SCHEDULERS["weighted-fair"] = WeightedFairScheduler
-
-
-def make_scheduler(spec: "str | Scheduler", **kwargs) -> Scheduler:
+def make_scheduler(spec: "str | Scheduler") -> Scheduler:
     """Resolve a scheduler spec: an instance passes through, a registry
-    name constructs one (``kwargs`` forwarded to the constructor)."""
+    name constructs one with its defaults."""
     if isinstance(spec, Scheduler):
-        if kwargs:
-            raise ValueError("kwargs only apply when constructing by name")
         return spec
     try:
         cls = SCHEDULERS[spec]
@@ -647,4 +619,4 @@ def make_scheduler(spec: "str | Scheduler", **kwargs) -> Scheduler:
         raise ValueError(
             f"unknown scheduler {spec!r}; choose from {sorted(SCHEDULERS)}"
         ) from None
-    return cls(**kwargs)
+    return cls()

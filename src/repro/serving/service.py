@@ -102,21 +102,13 @@ class RateLimit:
     """Token-bucket parameters for one tenant's admission rate.
 
     ``rate_per_s`` tokens accrue per virtual-clock second up to ``burst``
-    capacity.  In the default **request-cost** mode each submitted
-    request spends one token, so a tenant can burst ``burst`` requests
-    instantly but sustains at most ``rate_per_s`` requests/second.  With
-    ``per_sample=True`` the bucket charges **sample cost** instead: a
-    request spends ``batch_size`` tokens, so a fat multi-sample upload
-    pays proportionally to the server work it buys rather than riding
-    the flat per-request price — the fair currency once payloads stop
-    being single images.  A per-sample bucket's ``burst`` must cover the
-    largest batch a tenant may submit; a request whose batch exceeds
-    ``burst`` can never be admitted and is always throttled.
+    capacity.  Each submitted request spends one token, so a tenant can
+    burst ``burst`` requests instantly but sustains at most
+    ``rate_per_s`` requests/second.
     """
 
     rate_per_s: float
     burst: float = 1.0
-    per_sample: bool = False
 
     def __post_init__(self):
         if not self.rate_per_s > 0:
@@ -125,11 +117,6 @@ class RateLimit:
             raise ValueError("burst must be >= 1 (a bucket must admit at "
                              "least one request)")
 
-    def cost_of(self, request) -> float:
-        """Tokens one upload spends: its batch size in per-sample mode,
-        one in the back-compat request-cost mode."""
-        return float(request.batch_size) if self.per_sample else 1.0
-
     @classmethod
     def parse(cls, value: "RateLimit | tuple | float | None"
               ) -> "RateLimit | None":
@@ -137,8 +124,7 @@ class RateLimit:
 
         Args:
             value: ``None`` (unlimited), a :class:`RateLimit`, a bare rate
-                in requests/second, or a ``(rate_per_s, burst)`` /
-                ``(rate_per_s, burst, per_sample)`` tuple.
+                in requests/second, or a ``(rate_per_s, burst)`` tuple.
 
         Returns:
             The parsed limit, or ``None`` for the unlimited spec.
@@ -175,22 +161,22 @@ class RateLimiter:
         self._refill(now)
         return self.tokens
 
-    def try_acquire(self, now: float, cost: float = 1.0) -> bool:
-        """Spend ``cost`` tokens if the refilled bucket covers them.
+    def try_acquire(self, now: float) -> bool:
+        """Spend one token if the refilled bucket holds one.
 
         Returns:
             True (tokens spent) or False (bucket unchanged, caller
             should throttle).
         """
         self._refill(now)
-        if self.tokens + 1e-9 < cost:
+        if self.tokens + 1e-9 < 1.0:
             return False
-        self.tokens -= cost
+        self.tokens -= 1.0
         return True
 
-    def seconds_until(self, cost: float = 1.0) -> float:
-        """Virtual seconds until ``cost`` tokens will be available."""
-        deficit = cost - self.tokens
+    def seconds_until(self) -> float:
+        """Virtual seconds until the next token will be available."""
+        deficit = 1.0 - self.tokens
         return max(0.0, deficit / self.limit.rate_per_s)
 
 
@@ -223,7 +209,7 @@ def build_client(head, tail, *, selector=None, noise=None,
 
 @dataclasses.dataclass(frozen=True)
 class ServingConfig:
-    """Scheduler shape of one deployment (presets carry one of these).
+    """Scheduler shape of one service (``InferenceService.config``).
 
     ``max_batch`` caps the requests coalesced into one stacked pass for
     the count-capped policies (``fifo`` / ``fair`` / ``weighted``);
@@ -391,20 +377,6 @@ class InferenceService:
         # Traffic already accounted by sessions that have since closed —
         # service-level totals must not shrink on tenant churn.
         self._closed_transfer = TransferStats()
-
-    @classmethod
-    def from_config(cls, server: Server | list, config: ServingConfig,
-                    faults: FaultInjector | None = None,
-                    overload: "OverloadController | OverloadPolicy | None" = None,
-                    ) -> "InferenceService":
-        """Build a service from a preset-shaped :class:`ServingConfig`."""
-        return cls(server, max_batch=config.max_batch,
-                   max_queue=config.max_queue, scheduler=config.scheduler,
-                   codec=config.codec, rate_limit=config.rate_limit,
-                   faults=faults, overload=overload,
-                   shed_expired=config.shed_expired,
-                   tick_retries=config.tick_retries,
-                   fast_path=config.fast_path)
 
     # -- session management ---------------------------------------------
 
@@ -620,16 +592,14 @@ class InferenceService:
                 f"and the service is overloaded "
                 f"({self.overload.level_name}); retry when pressure clears")
         limiter = session.limiter
-        cost = limiter.limit.cost_of(request) if limiter is not None else 1.0
-        if limiter is not None and limiter.available(self.now) + 1e-9 < cost:
+        if limiter is not None and limiter.available(self.now) + 1e-9 < 1.0:
             self.stats.throttled_requests += 1
             session._resolve(request.request_id, RequestState.THROTTLED)
-            unit = "samples" if limiter.limit.per_sample else "req"
             raise RateLimitedError(
                 f"session {session.session_id} exceeded its rate limit "
-                f"({limiter.limit.rate_per_s:g} {unit}/s, burst "
-                f"{limiter.limit.burst:g}, cost {cost:g}); retry in "
-                f"{limiter.seconds_until(cost):.3f}s")
+                f"({limiter.limit.rate_per_s:g} req/s, burst "
+                f"{limiter.limit.burst:g}); retry in "
+                f"{limiter.seconds_until():.3f}s")
         if self.scheduler.pending >= self.config.max_queue:
             self.stats.rejected_requests += 1
             session._resolve(request.request_id, RequestState.REJECTED)
@@ -637,7 +607,7 @@ class InferenceService:
                 f"service queue full ({self.config.max_queue} pending); "
                 f"retry after a tick")
         if limiter is not None:
-            limiter.try_acquire(self.now, cost)  # refilled above: succeeds
+            limiter.try_acquire(self.now)  # refilled above: succeeds
         if request.arrival_time is None:
             request.arrival_time = self.now
         session.channel.send_up(request)

@@ -26,8 +26,8 @@ The loop is a real event queue (heap), not just a sorted arrival scan,
 because fault tolerance adds *client-side* events between arrivals:
 
 * a :class:`~repro.serving.faults.FaultInjector` (the service's own, or
-  one passed explicitly) delays submissions and stalls sessions — time
-  effects the service never observes;
+  one passed explicitly) delays submissions — a time effect the service
+  never observes;
 * a :class:`~repro.serving.faults.RetryPolicy` schedules backoff
   resubmissions after transient :class:`~repro.serving.errors.ServingError`
   failures, and — when ``timeout_s`` is set — resubmits requests whose
@@ -480,10 +480,8 @@ def _replay(owner, handles, sessions, trace, cost: TickCost,
                                 deadline=deadline, arrived=clock)
                 tracked.append(pend)
                 by_key[(session.session_id, pend.request_id)] = pend
-                delay = 0.0
-                if faults is not None:
-                    delay = (faults.submission_delay()
-                             + faults.session_stall(session.session_id))
+                delay = (faults.submission_delay() if faults is not None
+                         else 0.0)
                 if delay > 0.0:
                     push(clock + delay, _SUBMIT, pend)
                 else:
@@ -653,8 +651,8 @@ def simulate(service: InferenceService, sessions, trace, cost: TickCost,
     the service's "now", and reported latencies/makespan are unaffected.
 
     ``faults`` (defaulting to the service's own injector) adds network
-    delay and session stalls client-side; the service consults the same
-    injector for wire faults and tick crashes.  ``retry`` arms
+    delay client-side; the service consults the same injector for wire
+    faults and tick crashes.  ``retry`` arms
     backoff resubmission of transient failures and — via ``timeout_s`` —
     loss detection for dropped frames; retries reuse the original
     request id, so the service deduplicates a retry whose earlier

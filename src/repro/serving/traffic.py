@@ -68,21 +68,16 @@ class AdmissionPolicy:
 
     A new session is admitted in full below ``downgrade_pressure``,
     admitted best-effort (weight 0) between the thresholds, and rejected
-    at or above ``reject_pressure``.  ``max_sessions`` additionally caps
-    how many sessions may ever be admitted (full or best-effort) —
-    ``None`` means unlimited.
+    at or above ``reject_pressure``.
     """
 
     downgrade_pressure: float = 0.6
     reject_pressure: float = 0.9
-    max_sessions: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.downgrade_pressure <= self.reject_pressure <= 1.0:
             raise ValueError("need 0 < downgrade_pressure <= "
                              "reject_pressure <= 1")
-        if self.max_sessions is not None and self.max_sessions < 0:
-            raise ValueError("max_sessions must be >= 0 (or None)")
 
 
 class AdmissionController:
@@ -90,8 +85,7 @@ class AdmissionController:
 
     Stateless per decision (the policy thresholds do the work) but
     stateful in aggregate: ``admitted`` / ``downgraded`` / ``rejected``
-    count outcomes so far, and the ``max_sessions`` cap counts every
-    session the controller has let through.
+    count outcomes so far.
     """
 
     def __init__(self, policy: AdmissionPolicy | None = None):
@@ -103,10 +97,6 @@ class AdmissionController:
     def decide(self, pressure: float) -> str:
         """Decide one new session's fate at the given fleet pressure."""
         policy = self.policy
-        if (policy.max_sessions is not None
-                and self.admitted + self.downgraded >= policy.max_sessions):
-            self.rejected += 1
-            return REJECT
         if pressure >= policy.reject_pressure:
             self.rejected += 1
             return REJECT

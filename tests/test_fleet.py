@@ -75,21 +75,21 @@ def make_fleet(num_replicas=3, num_sessions=6, policy=POLICY, plan=None,
 
 class TestHashRing:
     def test_placement_is_deterministic_across_instances(self):
-        a, b = HashRing(vnodes=32), HashRing(vnodes=32)
+        a, b = HashRing(), HashRing()
         for ring in (a, b):
             for rid in range(4):
                 ring.add(rid)
         assert [a.owner(s) for s in range(200)] == [b.owner(s) for s in range(200)]
 
     def test_every_replica_owns_sessions(self):
-        ring = HashRing(vnodes=64)
+        ring = HashRing()
         for rid in range(4):
             ring.add(rid)
         owners = {ring.owner(s) for s in range(200)}
         assert owners == {0, 1, 2, 3}
 
     def test_removal_moves_only_the_dead_replicas_sessions(self):
-        ring = HashRing(vnodes=64)
+        ring = HashRing()
         for rid in range(4):
             ring.add(rid)
         before = {s: ring.owner(s) for s in range(300)}
@@ -103,7 +103,7 @@ class TestHashRing:
         assert len(moved) < 300 / 2
 
     def test_remove_then_add_restores_placement(self):
-        ring = HashRing(vnodes=32)
+        ring = HashRing()
         for rid in range(3):
             ring.add(rid)
         before = [ring.owner(s) for s in range(100)]
@@ -119,15 +119,11 @@ class TestHashRing:
         assert ring.owner(7) is None
 
     def test_add_is_idempotent(self):
-        ring = HashRing(vnodes=16)
+        ring = HashRing()
         ring.add(0)
         points = len(ring._points)
         ring.add(0)
         assert len(ring._points) == points
-
-    def test_vnodes_validation(self):
-        with pytest.raises(ValueError):
-            HashRing(vnodes=0)
 
 
 class TestFailureDetector:

@@ -115,9 +115,10 @@ class TestDeadlineExpiry:
             session.result(request_id)
 
     def test_implicit_deadlines_never_expire(self):
-        # The deadline scheduler assigns target-latency deadlines itself;
-        # only *explicit* per-request SLOs may shed work.
-        scheduler = DeadlineScheduler(target_latency_s=0.001)
+        # Only *explicit* per-request SLOs may shed work: a request
+        # without one queues under the deadline policy for as long as
+        # it takes.
+        scheduler = DeadlineScheduler()
         service, (session, _) = make_service(scheduler, shed_expired=True)
         request_id = session.submit_features(FEATURES)  # no explicit deadline
         service.advance_clock(10.0)

@@ -44,7 +44,6 @@ def identity_service(num_bodies=2, **kwargs):
 class TestWeightedFairScheduler:
     def test_registry_names(self):
         assert isinstance(make_scheduler("weighted"), WeightedFairScheduler)
-        assert isinstance(make_scheduler("weighted-fair"), WeightedFairScheduler)
 
     def test_two_to_one_shares_while_contended(self):
         scheduler = WeightedFairScheduler()
@@ -91,7 +90,7 @@ class TestWeightedFairScheduler:
             scheduler.enqueue(request(2, i))
         for _ in range(100):
             scheduler.next_group(max_batch=2)
-        bound = 2.0 * scheduler.quantum + 1  # one accrual + one request
+        bound = 2.0 + 1  # one weight-2 accrual + one request
         assert all(abs(d) <= bound for d in scheduler._deficits.values()), (
             scheduler._deficits)
 
@@ -165,8 +164,6 @@ class TestWeightedFairScheduler:
             scheduler.set_session_weight(1, -1.0)
         with pytest.raises(ValueError, match="weight"):
             scheduler.set_session_weight(1, math.inf)
-        with pytest.raises(ValueError, match="quantum"):
-            WeightedFairScheduler(quantum=0.0)
 
     def test_deficit_resets_when_queue_drains(self):
         """An idle tenant cannot bank credit for a later burst."""
@@ -478,8 +475,8 @@ class TestInt8Codec:
 
 
 class TestSampleCostRateLimit:
-    """The per-sample token bucket (PR 9): fat batches pay for the work
-    they buy; the flat per-request price stays the back-compat default."""
+    """The token bucket charges per request, whatever the upload's
+    batch size."""
 
     def make_session(self, limit):
         service = identity_service(max_queue=64)
@@ -490,19 +487,9 @@ class TestSampleCostRateLimit:
     def features(self, batch):
         return rng.random((batch, 4, 2, 2)).astype(np.float32)
 
-    def test_parse_per_sample_tuple(self):
-        limit = RateLimit.parse((100.0, 8, True))
-        assert limit.per_sample and limit.burst == 8
-        assert not RateLimit.parse((100.0, 8)).per_sample
-
-    def test_cost_of_modes(self):
-        fat = request(1, 0, batch=4)
-        assert RateLimit(10.0).cost_of(fat) == 1.0
-        assert RateLimit(10.0, burst=8, per_sample=True).cost_of(fat) == 4.0
-
     def test_request_cost_ignores_batch_size(self):
-        """Regression: default mode still charges one token per request,
-        however many samples the upload carries."""
+        """One token per request, however many samples the upload
+        carries."""
         service, session = self.make_session(RateLimit(rate_per_s=10.0,
                                                        burst=2))
         session.submit_features(self.features(4))
@@ -511,43 +498,15 @@ class TestSampleCostRateLimit:
             session.submit_features(self.features(1))
         assert service.stats.throttled_requests == 1
 
-    def test_sample_cost_charges_batch_size(self):
-        service, session = self.make_session(
-            RateLimit(rate_per_s=10.0, burst=4, per_sample=True))
-        session.submit_features(self.features(3))  # 1 token left
-        with pytest.raises(RateLimitedError, match="samples/s"):
-            session.submit_features(self.features(2))
-        session.submit_features(self.features(1))  # the last token fits
-        assert service.stats.throttled_requests == 1
-        assert session.limiter.available(service.now) == pytest.approx(0.0)
-
-    def test_oversized_batch_never_admitted(self):
-        """A batch larger than burst cannot fit even a full bucket."""
-        service, session = self.make_session(
-            RateLimit(rate_per_s=10.0, burst=2, per_sample=True))
-        with pytest.raises(RateLimitedError, match="cost 4"):
-            session.submit_features(self.features(4))
-        service.advance_clock(100.0)  # refill changes nothing
-        with pytest.raises(RateLimitedError):
-            session.submit_features(self.features(4))
-
-    def test_sample_tokens_refill_on_virtual_clock(self):
-        service, session = self.make_session(
-            RateLimit(rate_per_s=10.0, burst=4, per_sample=True))
-        session.submit_features(self.features(4))
-        with pytest.raises(RateLimitedError):
-            session.submit_features(self.features(2))
-        service.advance_clock(0.2)  # 0.2 s * 10 samples/s = 2 tokens
-        session.submit_features(self.features(2))
-        assert service.stats.throttled_requests == 1
-
     def test_throttled_batch_spends_nothing(self):
-        service, session = self.make_session(
-            RateLimit(rate_per_s=10.0, burst=4, per_sample=True))
-        session.submit_features(self.features(2))
+        service, session = self.make_session(RateLimit(rate_per_s=10.0,
+                                                       burst=2))
+        session.submit_features(self.features(3))
+        session.submit_features(self.features(3))  # drained
+        service.advance_clock(0.05)  # half a token back
         with pytest.raises(RateLimitedError):
             session.submit_features(self.features(3))
-        assert session.limiter.available(service.now) == pytest.approx(2.0)
+        assert session.limiter.available(service.now) == pytest.approx(0.5)
 
 
 class TestHierarchicalRateClasses:

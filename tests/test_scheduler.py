@@ -59,22 +59,15 @@ class TestRegistry:
     def test_by_name_and_alias(self):
         assert isinstance(make_scheduler("fifo"), FifoScheduler)
         assert isinstance(make_scheduler("fair"), FairShareScheduler)
-        assert isinstance(make_scheduler("fair-share"), FairShareScheduler)
         assert isinstance(make_scheduler("deadline"), DeadlineScheduler)
 
     def test_instance_passthrough(self):
-        scheduler = DeadlineScheduler(target_latency_s=0.1)
+        scheduler = DeadlineScheduler(max_group_samples=5)
         assert make_scheduler(scheduler) is scheduler
-        with pytest.raises(ValueError, match="kwargs"):
-            make_scheduler(scheduler, target_latency_s=0.2)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
             make_scheduler("lifo")
-
-    def test_kwargs_forwarded(self):
-        scheduler = make_scheduler("deadline", max_group_samples=5)
-        assert scheduler.max_group_samples == 5
 
     def test_service_accepts_instance(self):
         service = InferenceService(Server(make_bodies(2)),
@@ -279,13 +272,6 @@ class TestDeadline:
         group = scheduler.next_group(8, now=5.0)  # already blown
         assert len(group) == 1
 
-    def test_group_capped_by_bytes(self):
-        one = request(1, 0).wire_nbytes()
-        scheduler = DeadlineScheduler(max_group_bytes=2 * one)
-        for i in range(5):
-            scheduler.enqueue(request(1, i, deadline=1.0))
-        assert len(scheduler.next_group(16, now=0.0)) == 2
-
     def test_group_capped_by_samples(self):
         scheduler = DeadlineScheduler(max_group_samples=3)
         for i in range(5):
@@ -299,15 +285,6 @@ class TestDeadline:
         group = scheduler.next_group(8, now=0.0)
         assert [r.session_id for r in group] == [2]  # EDF leader wins
         assert [r.session_id for r in scheduler.next_group(8, now=0.0)] == [1]
-
-    def test_implicit_target_latency(self):
-        scheduler = DeadlineScheduler(target_latency_s=0.5)
-        late = request(1, 0, arrival=1.0)
-        early = request(2, 0, arrival=0.0)
-        scheduler.enqueue(late)
-        scheduler.enqueue(early)
-        group = scheduler.next_group(8, now=1.0)
-        assert group[0].session_id == 2  # arrival 0.0 -> deadline 0.5 first
 
     def test_next_event_time_waits_until_slack_runs_out(self):
         scheduler = DeadlineScheduler(pass_overhead_s=0.010,

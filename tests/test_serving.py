@@ -531,24 +531,6 @@ class TestBackpressure:
             ServingConfig(codec="fp8")
 
 
-class TestPresetWiring:
-    def test_preset_builds_service(self):
-        from repro.experiments.common import get_preset
-        preset = get_preset("tiny")
-        assert preset.serving.max_batch == 4
-        service = preset.inference_service(make_bodies(3))
-        assert isinstance(service, InferenceService)
-        assert service.config == preset.serving
-        assert service.num_nets == 3
-
-    def test_all_presets_carry_serving_config(self):
-        from repro.experiments.common import get_preset
-        for name in ("tiny", "small", "paper"):
-            config = get_preset(name).serving
-            assert config.max_batch >= 1
-            assert config.max_queue >= config.max_batch
-
-
 class TestPipelineAdapters:
     def test_pipeline_exposes_session(self):
         config = tiny_config()

@@ -117,17 +117,8 @@ class TestAdmissionController:
         assert controller.as_dict() == {"admitted": 2, "downgraded": 2,
                                         "rejected": 2}
 
-    def test_max_sessions_cap(self):
-        controller = AdmissionController(AdmissionPolicy(max_sessions=2))
-        assert controller.decide(0.0) == ADMIT
-        assert controller.decide(0.0) == ADMIT
-        assert controller.decide(0.0) == REJECT  # cap, not pressure
-        assert controller.rejected == 1
-
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             AdmissionPolicy(downgrade_pressure=0.9, reject_pressure=0.5)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(max_sessions=-1)
         with pytest.raises(ValueError):
             AdmissionPolicy(downgrade_pressure=0.0)
