@@ -38,13 +38,11 @@ query charged exactly once, submits past exhaustion refused with
 §III-D brute-force sweep for the record.
 
 Run as pytest (``pytest benchmarks/bench_serving.py -s``) or directly
-(``python benchmarks/bench_serving.py``).  Either way records are appended to
-the ``BENCH_serving.json`` history in the gitignored
-``build/bench-records/`` (never the tracked file at the repo root); the
-pytest entries additionally assert the acceptance bars (coalesced throughput
-≥ 1.5x sequential for 8 sessions at N=8 bodies with outputs ≤ 1e-5; deadline
-p95 below FIFO p95 on the bursty trace; weighted shares within 15% of the
-configured 2:1; fp16 downlink reduction ≥ 1.9x; int8 ≥ 3.5x).
+(``python benchmarks/bench_serving.py``).  Either way each run writes its
+records to ``build/bench-records/<benchmark>.json`` (gitignored).
+``scripts/check_perf.py`` gates every record; the pytest entry asserts
+the one bar the gates leave out (coalesced throughput ≥ 1.5x sequential
+for 8 sessions at N=8 bodies, outputs ≤ 1e-5).
 """
 
 import sys
@@ -59,8 +57,8 @@ if str(REPO_ROOT / "src") not in sys.path:  # allow `python benchmarks/bench_ser
 if str(REPO_ROOT / "benchmarks") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from _bench_utils import RECORD_DIR, write_record as _write_record  # noqa: E402
-from bench_ensemble import build_bodies, time_fn  # noqa: E402
+from _bench_utils import ratio_text, time_arms, write_record  # noqa: E402
+from bench_ensemble import WIDTH, build_bodies  # noqa: E402
 from repro import nn  # noqa: E402
 from repro.attacks import (  # noqa: E402
     AttackConfig,
@@ -99,11 +97,11 @@ from repro.serving import (  # noqa: E402
 from repro.utils.rng import new_rng  # noqa: E402
 
 NUM_NETS = 8
-SESSION_COUNTS = (2, 4, 8)
+SESSION_COUNTS = (4, 8)
 REQUEST_BATCH = 1  # single-image interactive requests, the serving regime
-WIDTH = 16
 SPATIAL = 8
-RECORD_PATH = RECORD_DIR / "BENCH_serving.json"
+#: counted rounds of each wall-clock comparison (each wave < 70 ms).
+ROUNDS = 9
 
 
 def _make_service(bodies, max_batch: int, num_sessions: int):
@@ -128,16 +126,14 @@ def _serve_wave(service, sessions, features) -> list:
             for session, rid in zip(sessions, request_ids)]
 
 
-def run_benchmark(session_counts=SESSION_COUNTS, num_nets=NUM_NETS,
-                  request_batch=REQUEST_BATCH, width=WIDTH, spatial=SPATIAL,
-                  repeats: int = 5) -> dict:
+def run_benchmark() -> dict:
     """Time sequential vs coalesced serving and return the JSON record."""
     rng = np.random.default_rng(0)
-    features = rng.random((request_batch, width, spatial, spatial),
+    features = rng.random((REQUEST_BATCH, WIDTH, SPATIAL, SPATIAL),
                           dtype=np.float32)
-    bodies = build_bodies(num_nets, width)
+    bodies = build_bodies(NUM_NETS)
     results = []
-    for num_sessions in session_counts:
+    for num_sessions in SESSION_COUNTS:
         sequential, seq_sessions = _make_service(bodies, 1, num_sessions)
         coalesced, coal_sessions = _make_service(bodies, num_sessions,
                                                  num_sessions)
@@ -149,29 +145,26 @@ def run_benchmark(session_counts=SESSION_COUNTS, num_nets=NUM_NETS,
             for c_outs, s_outs in zip(coal_out, seq_out)
             for c, s in zip(c_outs, s_outs))
 
-        sequential_s = time_fn(
-            lambda: _serve_wave(sequential, seq_sessions, features),
-            repeats=repeats)
-        coalesced_s = time_fn(
-            lambda: _serve_wave(coalesced, coal_sessions, features),
-            repeats=repeats)
-        wave_requests = num_sessions
+        timing = time_arms(
+            {"sequential": lambda: _serve_wave(sequential, seq_sessions,
+                                               features),
+             "coalesced": lambda: _serve_wave(coalesced, coal_sessions,
+                                              features)},
+            {"throughput_ratio": ("sequential", "coalesced")}, ROUNDS)
         results.append({
             "num_sessions": num_sessions,
-            "sequential_s": sequential_s,
-            "coalesced_s": coalesced_s,
-            "sequential_rps": wave_requests / sequential_s,
-            "coalesced_rps": wave_requests / coalesced_s,
-            "throughput_ratio": sequential_s / coalesced_s,
+            **timing,
+            "sequential_rps": num_sessions / timing["sequential_s"],
+            "coalesced_rps": num_sessions / timing["coalesced_s"],
             "max_abs_diff": max_abs_diff,
         })
     return {
         "benchmark": "serving_coalesced_vs_sequential",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "num_nets": num_nets,
-        "request_batch": request_batch,
-        "width": width,
-        "spatial": spatial,
+        "num_nets": NUM_NETS,
+        "request_batch": REQUEST_BATCH,
+        "width": WIDTH,
+        "spatial": SPATIAL,
         "body_topology": "resnet10-style (4 stages, 1 block each)",
         "results": results,
     }
@@ -217,29 +210,23 @@ def _simulated_tail_latency(bodies, features, num_sessions) -> list[dict]:
     return rows
 
 
-def _wall_clock_throughput(bodies, features, num_sessions,
-                           requests_per_session, repeats) -> dict:
+def _wall_clock_throughput(bodies, features) -> dict:
     """Real serve time of the same wave under FIFO vs fair-share."""
     def serve(scheduler):
         service, sessions = _make_policy_service(bodies, scheduler,
-                                                 num_sessions)
+                                                 SCHEDULER_SESSIONS)
 
         def wave():
-            for _ in range(requests_per_session):
+            for _ in range(SCHEDULER_REQUESTS_PER_SESSION):
                 for session in sessions:
                     session.submit_features(features)
             service.run_until_idle()
             for session in sessions:
                 session.discard_results()
-        return time_fn(wave, repeats=repeats)
+        return wave
 
-    fifo_s = serve("fifo")
-    fair_s = serve("fair")
-    return {
-        "fifo_s": fifo_s,
-        "fair_s": fair_s,
-        "fair_vs_fifo": fifo_s / fair_s,
-    }
+    return time_arms({"fifo": serve("fifo"), "fair": serve("fair")},
+                     {"fair_vs_fifo": ("fifo", "fair")}, ROUNDS)
 
 
 def _weighted_shares(bodies, features, weight_ratio=2.0,
@@ -414,25 +401,28 @@ def _chaos_replay(bodies, features, num_sessions, faults=None) -> dict:
     }
 
 
-def run_chaos_benchmark(num_sessions=8, num_nets=NUM_NETS, width=WIDTH,
-                        spatial=SPATIAL, seed=0) -> dict:
+CHAOS_SESSIONS = 8
+CHAOS_SEED = 0
+
+
+def run_chaos_benchmark() -> dict:
     """Resilience record: goodput under ~5% frame faults plus one injected
     mid-run tick crash, against the fault-free baseline of the same trace."""
     rng = np.random.default_rng(2)
-    features = rng.random((REQUEST_BATCH, width, spatial, spatial),
+    features = rng.random((REQUEST_BATCH, WIDTH, SPATIAL, SPATIAL),
                           dtype=np.float32)
-    bodies = build_bodies(num_nets, width)
-    baseline = _chaos_replay(bodies, features, num_sessions)
-    chaos = _chaos_replay(bodies, features, num_sessions,
-                          faults=FaultInjector(CHAOS_PLAN, seed=seed))
+    bodies = build_bodies(NUM_NETS)
+    baseline = _chaos_replay(bodies, features, CHAOS_SESSIONS)
+    chaos = _chaos_replay(bodies, features, CHAOS_SESSIONS,
+                          faults=FaultInjector(CHAOS_PLAN, seed=CHAOS_SEED))
     return {
         "benchmark": "serving_chaos",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "num_nets": num_nets,
-        "num_sessions": num_sessions,
-        "width": width,
-        "spatial": spatial,
-        "seed": seed,
+        "num_nets": NUM_NETS,
+        "num_sessions": CHAOS_SESSIONS,
+        "width": WIDTH,
+        "spatial": SPATIAL,
+        "seed": CHAOS_SEED,
         "frame_fault_rate": CHAOS_PLAN.frame_fault_rate,
         "baseline": baseline,
         "chaos": chaos,
@@ -460,6 +450,7 @@ def print_chaos_record(record: dict) -> None:
 FLEET_REPLICAS = 4
 FLEET_SESSIONS = 16
 FLEET_KILL_AT = 0.24  # mid-trace: bursts land at 0.00/0.08/.../0.40
+FLEET_KILL_REPLICA = 3
 FLEET_RETRY = RetryPolicy(max_attempts=6, base_delay_s=0.004, multiplier=2.0,
                           max_delay_s=0.05, jitter=0.1, timeout_s=0.06)
 FLEET_COST = TickCost(pass_overhead_s=0.004, per_sample_s=0.0005,
@@ -511,27 +502,26 @@ def _fleet_replay(bodies, features, kill_replica=None) -> dict:
     }
 
 
-def run_fleet_chaos_benchmark(num_nets=NUM_NETS, width=WIDTH,
-                              spatial=SPATIAL, kill_replica=3) -> dict:
+def run_fleet_chaos_benchmark() -> dict:
     """Fleet resilience record: the same bursty trace replayed twice over
     a 4-replica fleet — fault-free, then with one replica crashed
     mid-trace (detected by heartbeat silence, sessions failed over from
     checkpoints, in-flight requests recovered by retry timeouts)."""
     rng = np.random.default_rng(3)
-    features = rng.random((REQUEST_BATCH, width, spatial, spatial),
+    features = rng.random((REQUEST_BATCH, WIDTH, SPATIAL, SPATIAL),
                           dtype=np.float32)
-    bodies = build_bodies(num_nets, width)
+    bodies = build_bodies(NUM_NETS)
     baseline = _fleet_replay(bodies, features)
-    chaos = _fleet_replay(bodies, features, kill_replica=kill_replica)
+    chaos = _fleet_replay(bodies, features, kill_replica=FLEET_KILL_REPLICA)
     return {
         "benchmark": "fleet_chaos",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "num_nets": num_nets,
+        "num_nets": NUM_NETS,
         "num_replicas": FLEET_REPLICAS,
         "num_sessions": FLEET_SESSIONS,
-        "width": width,
-        "spatial": spatial,
-        "killed_replica": kill_replica,
+        "width": WIDTH,
+        "spatial": SPATIAL,
+        "killed_replica": FLEET_KILL_REPLICA,
         "kill_at_s": FLEET_KILL_AT,
         "baseline": baseline,
         "chaos": chaos,
@@ -970,29 +960,33 @@ def print_privacy_record(record: dict) -> None:
           f"{brute['found_secret']}")
 
 
-def run_scheduler_benchmark(num_sessions=8, num_nets=NUM_NETS, width=WIDTH,
-                            spatial=SPATIAL, requests_per_session=4,
-                            codec_batch=8, repeats: int = 5) -> dict:
+SCHEDULER_SESSIONS = 8
+SCHEDULER_REQUESTS_PER_SESSION = 4
+#: images per codec request: payload-bound frames (see _codec_downlink).
+CODEC_BATCH = 8
+
+
+def run_scheduler_benchmark() -> dict:
     """Compare scheduling policies and wire codecs; returns the JSON record."""
     rng = np.random.default_rng(1)
-    features = rng.random((REQUEST_BATCH, width, spatial, spatial),
+    features = rng.random((REQUEST_BATCH, WIDTH, SPATIAL, SPATIAL),
                           dtype=np.float32)
-    codec_features = rng.random((codec_batch, width, spatial, spatial),
+    codec_features = rng.random((CODEC_BATCH, WIDTH, SPATIAL, SPATIAL),
                                 dtype=np.float32)
-    bodies = build_bodies(num_nets, width)
+    bodies = build_bodies(NUM_NETS)
     return {
         "benchmark": "serving_schedulers",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "num_nets": num_nets,
-        "num_sessions": num_sessions,
-        "width": width,
-        "spatial": spatial,
-        "simulated": _simulated_tail_latency(bodies, features, num_sessions),
-        "throughput": _wall_clock_throughput(bodies, features, num_sessions,
-                                             requests_per_session, repeats),
+        "num_nets": NUM_NETS,
+        "num_sessions": SCHEDULER_SESSIONS,
+        "width": WIDTH,
+        "spatial": SPATIAL,
+        "simulated": _simulated_tail_latency(bodies, features,
+                                             SCHEDULER_SESSIONS),
+        "throughput": _wall_clock_throughput(bodies, features),
         "weighted": _weighted_shares(bodies, features),
-        "codec_batch": codec_batch,
-        "codec": _codec_downlink(bodies, codec_features, num_sessions),
+        "codec_batch": CODEC_BATCH,
+        "codec": _codec_downlink(bodies, codec_features, SCHEDULER_SESSIONS),
     }
 
 
@@ -1008,7 +1002,7 @@ def print_scheduler_record(record: dict) -> None:
     thr = record["throughput"]
     print(f"wall-clock wave: fifo {thr['fifo_s'] * 1e3:.2f} ms, "
           f"fair {thr['fair_s'] * 1e3:.2f} ms "
-          f"(fair/fifo throughput {thr['fair_vs_fifo']:.2f}x)")
+          f"(fair/fifo throughput {ratio_text(thr, 'fair_vs_fifo')})")
     weighted = record["weighted"]
     sim = weighted["simulated"]
     print(f"weighted shares ({weighted['weight_ratio']:g}:1 configured): "
@@ -1033,20 +1027,17 @@ def print_scheduler_record(record: dict) -> None:
           f"max |diff| {codec['int8_max_abs_diff']:.2e})")
 
 
-def write_record(record: dict, path: Path = RECORD_PATH) -> Path:
-    """Append ``record`` to the per-PR history list at ``path``."""
-    return _write_record(record, path)
-
-
 def print_record(record: dict) -> None:
     print(f"\nmulti-tenant serving benchmark (N={record['num_nets']} bodies, "
           f"{record['request_batch']}-image requests, {record['body_topology']})")
     print(f"{'S':>3}  {'sequential [ms]':>16}  {'coalesced [ms]':>15}  "
-          f"{'req/s seq':>10}  {'req/s coal':>11}  {'ratio':>6}  {'max|diff|':>10}")
+          f"{'req/s seq':>10}  {'req/s coal':>11}  {'ratio [quartiles]':>18}  "
+          f"{'max|diff|':>10}")
     for row in record["results"]:
         print(f"{row['num_sessions']:>3}  {row['sequential_s'] * 1e3:>16.2f}  "
               f"{row['coalesced_s'] * 1e3:>15.2f}  {row['sequential_rps']:>10.0f}  "
-              f"{row['coalesced_rps']:>11.0f}  {row['throughput_ratio']:>5.2f}x  "
+              f"{row['coalesced_rps']:>11.0f}  "
+              f"{ratio_text(row, 'throughput_ratio'):>18}  "
               f"{row['max_abs_diff']:>10.2e}")
 
 
@@ -1065,181 +1056,14 @@ def test_coalesced_serving_throughput():
         f"{by_s[8]['throughput_ratio']:.2f}x")
 
 
-def test_scheduler_comparison():
-    """Acceptance bars for the pluggable-policy layer: adaptive deadline
-    batching beats drain-the-queue FIFO p95 on a bursty trace, weighted
-    fair sharing delivers the configured 2:1 within 15%, the fp16 codec
-    cuts downlink bytes ≥ 1.9x at ≤ 1e-2 output drift, and the int8
-    codec cuts them ≥ 3.5x at bounded quantisation drift."""
-    record = run_scheduler_benchmark()
-    write_record(record)
-    print_scheduler_record(record)
-    by_policy = {row["scheduler"]: row for row in record["simulated"]}
-    assert by_policy["deadline"]["p95_ms"] < by_policy["fifo"]["p95_ms"], (
-        f"deadline p95 ({by_policy['deadline']['p95_ms']:.1f} ms) must beat "
-        f"FIFO p95 ({by_policy['fifo']['p95_ms']:.1f} ms) on the bursty trace")
-    assert by_policy["deadline"]["slo_violations"] <= by_policy["fifo"]["slo_violations"]
-    assert record["weighted"]["share_error"] <= 0.15, (
-        f"weighted shares off the configured "
-        f"{record['weighted']['weight_ratio']:g}:1 by "
-        f"{record['weighted']['share_error'] * 100:.1f}% (> 15%)")
-    hierarchical = record["weighted"]["hierarchical"]
-    assert hierarchical["aggregate_error"] <= 0.15, (
-        f"rate class aggregate share off the configured 1:1 vs the "
-        f"outsider by {hierarchical['aggregate_error'] * 100:.1f}% (> 15%)")
-    assert hierarchical["member_split_error"] <= 0.15, (
-        f"intra-class members split the class share unevenly: "
-        f"{hierarchical['member_split_ratio']:.2f}x (> 15% off 1:1)")
-    assert record["codec"]["downlink_reduction"] >= 1.9, (
-        f"fp16 codec must cut downlink bytes ≥1.9x, got "
-        f"{record['codec']['downlink_reduction']:.2f}x")
-    assert record["codec"]["max_abs_diff"] <= 1e-2, (
-        f"fp16 feature drift above documented tolerance: "
-        f"{record['codec']['max_abs_diff']:.2e}")
-    assert record["codec"]["int8_downlink_reduction"] >= 3.5, (
-        f"int8 codec must cut downlink bytes ≥3.5x, got "
-        f"{record['codec']['int8_downlink_reduction']:.2f}x")
-    # Affine per-map quantisation promises error <= (max-min)/510 per map.
-    bound = record["codec"]["int8_drift_bound"] * 1.01 + 1e-6
-    assert record["codec"]["int8_max_abs_diff"] <= bound, (
-        f"int8 feature drift {record['codec']['int8_max_abs_diff']:.2e} "
-        f"above the per-map quantisation bound {bound:.2e}")
-
-
-def test_chaos_resilience():
-    """Acceptance bars for fault tolerance: goodput under ~5% injected
-    frame faults plus a mid-run tick crash stays ≥ 0.85x the fault-free
-    baseline of the same trace, and *every* submitted request — baseline
-    and chaos alike — ends in exactly one terminal state."""
-    record = run_chaos_benchmark()
-    write_record(record)
-    print_chaos_record(record)
-    assert record["baseline"]["conservation_ok"]
-    assert record["chaos"]["conservation_ok"], (
-        f"requests leaked without a terminal state under faults: "
-        f"{record['chaos']['terminal_counts']}")
-    assert record["chaos"]["tick_failures"] >= 1, \
-        "the injected tick crash never fired"
-    assert record["goodput_ratio"] >= 0.85, (
-        f"goodput under faults collapsed to "
-        f"{record['goodput_ratio']:.2f}x fault-free (< 0.85x)")
-
-
-def test_fleet_chaos():
-    """Acceptance bars for the replicated tier: killing 1 of 4 replicas
-    mid-trace keeps goodput ≥ 0.70x the fault-free fleet replay, both
-    replays conserve every submission in exactly one terminal state, no
-    request is ever served twice, and failover migrates only the dead
-    replica's arc (≤ half the live sessions, ~1/N expected)."""
-    record = run_fleet_chaos_benchmark()
-    write_record(record)
-    print_fleet_chaos_record(record)
-    assert record["baseline"]["conservation_ok"]
-    assert record["chaos"]["conservation_ok"], (
-        f"requests leaked without a terminal state across failover: "
-        f"{record['chaos']['terminal_counts']}")
-    assert record["baseline"]["duplicate_serves"] == 0
-    assert record["chaos"]["duplicate_serves"] == 0, \
-        "a request was served twice across failover"
-    assert record["chaos"]["failovers"] == 1, \
-        "the killed replica was never declared DOWN"
-    assert record["goodput_ratio"] >= 0.70, (
-        f"fleet goodput collapsed to {record['goodput_ratio']:.2f}x "
-        f"fault-free after losing 1 of {record['num_replicas']} replicas")
-    assert record["chaos"]["migrated_fraction"] <= 0.5, (
-        f"failover moved {record['chaos']['migrated_fraction'] * 100:.0f}% "
-        f"of sessions; the consistent-hash ring should bound it near "
-        f"1/{record['num_replicas']}")
-
-
-def test_fleet_scale():
-    """Acceptance bars for the fleet-scale traffic engine: on the same
-    10^4-session diurnal stream the autoscaled fleet's p99 must not
-    exceed the static baseline's and its goodput must match or beat it;
-    the control loop must actually act (≥ 1 spawn, with live migrations
-    whose ε ledger never decreases); and the fleet invariants hold at
-    scale — every submission conserved, zero duplicate serves, exact
-    latency lists never materialised for the streamed trace."""
-    record = run_fleet_scale_benchmark()
-    write_record(record)
-    print_fleet_scale_record(record)
-    for name in ("static", "autoscaled"):
-        arm = record[name]
-        assert arm["conservation_ok"], \
-            f"{name}: requests leaked without a terminal state"
-        assert arm["duplicate_serves"] == 0, \
-            f"{name}: a request was served twice"
-        assert arm["exact_latencies_retained"] == 0, (
-            f"{name}: a streamed trace materialised "
-            f"{arm['exact_latencies_retained']} exact latencies")
-    auto = record["autoscaled"]
-    assert auto["spawns"] >= 1, "the diurnal peak never forced a scale-up"
-    assert auto["migrations"] > 0, "scale-up moved no sessions"
-    assert auto["epsilon_ratchet_ok"], \
-        "a migration rolled a privacy ledger backwards"
-    assert auto["p99_ms"] <= record["static"]["p99_ms"], (
-        f"autoscaled p99 ({auto['p99_ms']:.1f} ms) worse than static "
-        f"({record['static']['p99_ms']:.1f} ms)")
-    assert record["goodput_ratio"] >= 1.0, (
-        f"autoscaling lost goodput: {record['goodput_ratio']:.2f}x static")
-
-
-def test_privacy_defense():
-    """Acceptance bars for the privacy tier: a once-leaked subset decodes
-    static-selector traffic perfectly (SSIM 1.0) but per-query rotation
-    degrades it; exhausted sessions are refused, never silently served,
-    with every served query charged exactly once; and rotation costs at
-    most 0.25 clean accuracy on the tiny fixture."""
-    record = run_privacy_benchmark()
-    write_record(record)
-    print_privacy_record(record)
-    leak = record["subset_leak"]
-    assert leak["static"]["ssim_vs_leaked"] >= 0.999, (
-        f"a leaked subset must decode static traffic perfectly, got SSIM "
-        f"{leak['static']['ssim_vs_leaked']:.4f}")
-    assert leak["rotating"]["ssim_vs_leaked"] <= leak["static"]["ssim_vs_leaked"] - 0.05, (
-        f"per-query rotation must degrade the leaked subset "
-        f"(rotating SSIM {leak['rotating']['ssim_vs_leaked']:.4f} vs static "
-        f"{leak['static']['ssim_vs_leaked']:.4f})")
-    assert leak["rotating"]["rotations"] >= PRIVACY_QUERIES - 1
-    exhaustion = record["exhaustion"]
-    assert exhaustion["conservation_ok"], (
-        f"privacy budget not conserved: served {exhaustion['served']}, "
-        f"charged {exhaustion['charged']}, q_budget "
-        f"{exhaustion['q_budget']}")
-    assert exhaustion["refused"] >= 1, \
-        "submits past exhaustion were silently served"
-    assert exhaustion["refused"] == exhaustion["refusals_counted"]
-    assert exhaustion["exhausted_sessions"] == 1
-    levels = [row["level"] for row in exhaustion["ladder_trace"]]
-    assert "raise-noise" in levels and "shrink-map" in levels, (
-        f"the budget ladder never engaged before exhaustion: {levels}")
-    by_fraction = {row["fraction_spent"]: row for row in record["ladder"]}
-    assert by_fraction[0.0]["extra_sigma"] == 0.0
-    assert by_fraction[0.6]["extra_sigma"] > 0.0, \
-        "raise-noise level added no extra uplink noise"
-    assert record["accuracy"]["delta"] <= 0.25, (
-        f"rotation costs {record['accuracy']['delta']:.3f} clean accuracy "
-        f"(> 0.25 tolerance)")
-
-
 if __name__ == "__main__":
-    rec = run_benchmark()
-    out = write_record(rec)
-    print_record(rec)
-    sched = run_scheduler_benchmark()
-    write_record(sched)
-    print_scheduler_record(sched)
-    chaos = run_chaos_benchmark()
-    write_record(chaos)
-    print_chaos_record(chaos)
-    fleet = run_fleet_chaos_benchmark()
-    write_record(fleet)
-    print_fleet_chaos_record(fleet)
-    scale = run_fleet_scale_benchmark()
-    write_record(scale)
-    print_fleet_scale_record(scale)
-    privacy = run_privacy_benchmark()
-    write_record(privacy)
-    print_privacy_record(privacy)
-    print(f"\nrecords written to {out}")
+    for run, show in ((run_benchmark, print_record),
+                      (run_scheduler_benchmark, print_scheduler_record),
+                      (run_chaos_benchmark, print_chaos_record),
+                      (run_fleet_chaos_benchmark, print_fleet_chaos_record),
+                      (run_fleet_scale_benchmark, print_fleet_scale_record),
+                      (run_privacy_benchmark, print_privacy_record)):
+        record = run()
+        out = write_record(record)
+        show(record)
+    print(f"\nrecords written to {out.parent}")

@@ -1,56 +1,39 @@
 #!/usr/bin/env python
-"""Perf smoke check: the fused engines must beat their Python loops.
+"""Perf gates: the paper's speed claims and the serving tier's invariants.
 
-Two gates, both intended for CI and pre-merge checks (the full trajectory
-benchmarks live in ``benchmarks/``):
+Nine gates, each run over one ``benchmarks/`` entry point, whose record
+is written to ``build/bench-records/<benchmark>.json``; the bars and
+record fields are documented in ``docs/benchmarks.md``:
 
-* **ensemble** — the batched N-body pass must not be slower than looped
-  ``server_outputs`` for any N >= 5 (the regime the Ensembler protocol
-  actually serves; the paper runs N=10), with outputs matching to 1e-5.
-* **kernel_fusion** — the eval-time serve-path optimisations must pay for
-  themselves on the BN-bound pointwise workload: folded (BN-fold + arena)
-  ticks >= 1.15x unfolded tick throughput at N=8, zero-copy frame decode
-  not slower than the copying parse, both serve arms matching to 1e-5.
-* **attack** — the fused multi-attack subset sweep must not be slower than
-  the looped per-subset loop for K >= 7 subsets (the brute-force regime;
-  even N=4 with leaked P=2 already enumerates C(4,2)+ subsets).
-* **serving** — coalescing concurrent client uploads into one stacked pass
-  must not serve slower than one pass per request for >= 4 concurrent
-  sessions (the multi-tenant regime), with per-request outputs matching to
-  1e-5.
-* **scheduler/codec** — the fair-share scheduler must not degrade serving
-  throughput vs FIFO by more than 10% on the same request wave, deadline
-  scheduling must beat drain-the-queue FIFO p95 on the bursty trace, the
-  weighted fair scheduler must deliver the configured 2:1 tenant shares
-  within 15% on the contended trace, and the negotiated codecs must cut
-  downlink bytes by >= 1.9x (fp16) and >= 3.5x (int8).
-* **chaos** — goodput under ~5% injected frame faults plus a mid-run
-  tick crash must stay >= 0.85x the fault-free baseline of the same
-  bursty trace, and every submitted request (chaos and baseline alike)
-  must end in exactly one terminal state (the conservation invariant
-  ``SimulationReport.conservation_ok`` verifies per replay).
-* **fleet** — killing 1 of 4 replicas mid-trace must keep fleet goodput
-  >= 0.70x the fault-free fleet replay, conserve every submission in
-  exactly one terminal state across failover, serve no request twice
-  (``duplicate_serves == 0``), and migrate at most half the live
-  sessions (the consistent-hash ring bounds the blast radius near 1/N).
-* **fleet_scale** — on the same 10^4-session diurnal stream (lazy
-  generator trace, sketch-backed reports) the autoscaled fleet's p99
-  must not exceed the static 2-replica baseline's and its goodput must
-  be >= 1.0x; the control loop must actually spawn into the peak, with
-  live migrations whose per-session epsilon ledger only ever ratchets
-  up; both arms must conserve every submission with zero duplicates.
-* **privacy** — a once-leaked secret subset must decode static-selector
-  traffic perfectly (SSIM ~1.0) while per-query rotation degrades it;
-  clean-task accuracy must stay within 0.25 of the static selector; and
-  the budget-exhaustion replay must serve (and charge) exactly
-  ``q_budget`` queries, refusing every later submit with the typed
-  ``PrivacyExhaustedError`` — never silently serving past exhaustion.
+* **ensemble** — the batched N-body pass is not slower than the looped
+  one at N = 5 and 8, outputs matching to 1e-5.
+* **kernel_fusion** — folded fast-path ticks >= 1.15x unfolded at N=8,
+  zero-copy decode not slower than copying, serve arms matching.
+* **attack** — the fused subset sweep is not slower than the loop at
+  K = 7 and 15.
+* **serving** — coalesced serving is not slower than one pass per
+  request at S = 4 and 8, outputs matching.
+* **scheduler/codec** — fair-share within 10% of FIFO throughput,
+  deadline p95 and SLO violations no worse than FIFO, weighted and
+  rate-class shares within 15%, fp16 and int8 downlink reductions and
+  drift within their bounds.
+* **chaos**, **fleet**, **fleet_scale** — goodput under faults, replica
+  loss and autoscaling, with every request conserved and none served
+  twice.
+* **privacy** — rotation devalues a leaked subset, budgets are charged
+  exactly once and the ladder engages, exhausted sessions are refused.
+
+The first five compare wall-clock times: each reads the median of the
+per-round ratios of ``_bench_utils.time_arms`` and re-measures once
+before failing.  The last four replay virtual clocks and seeded draws,
+so they are deterministic.  Every gate times on one BLAS thread, as
+``perfbench/run.py`` does.
 
 Usage: ``python scripts/check_perf.py``
 """
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -67,357 +50,302 @@ def load_bench(name: str):
     return module
 
 
-def check_ensemble() -> list[str]:
-    bench = load_bench("bench_ensemble")
-
-    def measure() -> list[str]:
-        record = bench.run_benchmark(body_counts=(5, 8), repeats=3)
-        bench.print_record(record)
-        failures = []
-        for row in record["results"]:
-            if row["max_abs_diff"] > 1e-5:
-                failures.append(
-                    f"ensemble N={row['num_nets']}: backends diverge "
-                    f"(max abs diff {row['max_abs_diff']:.2e} > 1e-5)")
-            if row["num_nets"] >= 5 and row["speedup"] < 1.0:
-                failures.append(
-                    f"ensemble N={row['num_nets']}: batched is SLOWER than "
-                    f"looped ({row['speedup']:.2f}x)")
-        return failures
-
-    return measure_with_retry(measure, "ensemble")
+def failures_of(checks: list[tuple[bool, str]]) -> list[str]:
+    """The message of every ``(passed, message)`` check that failed."""
+    return [message for passed, message in checks if not passed]
 
 
-def measure_with_retry(measure, label: str, attempts: int = 2) -> list[str]:
-    """Wall-clock gates on shared runners are noisy: best-of-N timing per
-    attempt, and one clean re-measure before declaring a regression.
-    ``measure`` runs one benchmark attempt and returns its failure list."""
-    failures = measure()
-    for attempt in range(1, attempts):
-        if not failures:
-            break
-        print(f"\n{label} gate below 1.0x; re-measuring once to rule out "
-              "scheduler noise...")
-        failures = measure()
+def measure_with_retry(check, label: str) -> list[str]:
+    """Run a wall-clock gate, and once more if it fails.
+
+    A median over rounds does not lift a whole run that lands in a slow
+    regime of the host (every batched N=8 pass at ~10x its usual time
+    has been seen), so a failing run is re-measured once before it
+    counts.  ``check`` runs the gate and returns its failure list.
+    """
+    failures = check()
+    if failures:
+        print(f"\n{label} gate failed; re-measuring once to rule out host "
+              "noise...")
+        failures = check()
     return failures
 
 
-def check_kernel_fusion() -> list[str]:
-    """Eval-time fusion gate: the folded fast path must pay for itself.
-
-    Gates the serve-path optimisations end to end on the BN-bound
-    pointwise workload they target: folded + arena ticks must be
-    >= 1.15x unfolded tick throughput at N=8, zero-copy frame decode
-    must not be slower than the copying parse, and the serve arms must
-    agree to 1e-5.  The fold-only and arena-only tick speedups are
-    recorded and printed but not gated.  Each gated measurement is
-    appended to ``build/bench-records/BENCH_ensemble.json`` so the CI
-    artifact records what the gate saw.
-    """
+def check_ensemble() -> list[str]:
     bench = load_bench("bench_ensemble")
+    record = bench.run_benchmark()
+    bench.write_record(record)
+    bench.print_record(record)
+    checks = []
+    for row in record["results"]:
+        checks += [
+            (row["max_abs_diff"] <= 1e-5,
+             f"ensemble N={row['num_nets']}: backends diverge "
+             f"(max abs diff {row['max_abs_diff']:.2e} > 1e-5)"),
+            (row["speedup"] >= 1.0,
+             f"ensemble N={row['num_nets']}: batched is SLOWER than "
+             f"looped ({row['speedup']:.2f}x)"),
+        ]
+    return failures_of(checks)
 
-    def measure() -> list[str]:
-        record = bench.run_kernel_fusion_benchmark()
-        bench.write_record(record)
-        bench.print_kernel_fusion(record)
-        failures = []
-        if record["max_abs_diff"] > 1e-5:
-            failures.append(
-                f"kernel_fusion: folded and unfolded serve arms diverge "
-                f"(max abs diff {record['max_abs_diff']:.2e} > 1e-5)")
-        if record["tick"]["speedup"] < 1.15:
-            failures.append(
-                f"kernel_fusion: folded fast path is "
-                f"{record['tick']['speedup']:.2f}x unfolded tick throughput "
-                f"at N={record['num_nets']} (< 1.15x)")
-        if record["decode"]["speedup"] < 1.0:
-            failures.append(
-                f"kernel_fusion: zero-copy decode is SLOWER than the "
-                f"copying parse ({record['decode']['speedup']:.2f}x)")
-        return failures
 
-    return measure_with_retry(measure, "kernel_fusion")
+def check_kernel_fusion() -> list[str]:
+    """The folded fast path must pay for itself on the BN-bound pointwise
+    workload; the fold-only and arena-only speedups are recorded, not
+    gated."""
+    bench = load_bench("bench_ensemble")
+    record = bench.run_kernel_fusion_benchmark()
+    bench.write_record(record)
+    bench.print_kernel_fusion(record)
+    tick, decode = record["tick"], record["decode"]
+    return failures_of([
+        (record["max_abs_diff"] <= 1e-5,
+         f"kernel_fusion: folded and unfolded serve arms diverge "
+         f"(max abs diff {record['max_abs_diff']:.2e} > 1e-5)"),
+        (tick["speedup"] >= 1.15,
+         f"kernel_fusion: folded fast path is {tick['speedup']:.2f}x "
+         f"unfolded tick throughput at N={record['num_nets']} (< 1.15x)"),
+        (decode["speedup"] >= 1.0,
+         f"kernel_fusion: zero-copy decode is SLOWER than the copying "
+         f"parse ({decode['speedup']:.2f}x)"),
+    ])
 
 
 def check_attack() -> list[str]:
     bench = load_bench("bench_attack")
-
-    def measure() -> list[str]:
-        record = bench.run_benchmark(subset_counts=(7, 15), repeats=3)
-        bench.print_record(record)
-        return [
-            f"attack K={row['num_subsets']}: fused sweep is SLOWER than "
-            f"looped ({row['speedup']:.2f}x)"
-            for row in record["results"]
-            if row["num_subsets"] >= 7 and row["speedup"] < 1.0
-        ]
-
-    return measure_with_retry(measure, "attack")
+    record = bench.run_benchmark()
+    bench.write_record(record)
+    bench.print_record(record)
+    return failures_of([
+        (row["speedup"] >= 1.0,
+         f"attack K={row['num_subsets']}: fused sweep is SLOWER than "
+         f"looped ({row['speedup']:.2f}x)")
+        for row in record["results"]])
 
 
 def check_serving() -> list[str]:
-    """Coalesced multi-tenant serving must beat per-request passes.
-
-    Each gated measurement is appended to
-    ``build/bench-records/BENCH_serving.json``, so the CI artifact
-    records exactly what the gate saw (no second benchmark run).
-    """
     bench = load_bench("bench_serving")
-
-    def measure() -> list[str]:
-        record = bench.run_benchmark(session_counts=(4, 8), repeats=3)
-        bench.write_record(record)
-        bench.print_record(record)
-        failures = []
-        for row in record["results"]:
-            if row["max_abs_diff"] > 1e-5:
-                failures.append(
-                    f"serving S={row['num_sessions']}: coalesced outputs diverge "
-                    f"(max abs diff {row['max_abs_diff']:.2e} > 1e-5)")
-            if row["num_sessions"] >= 4 and row["throughput_ratio"] < 1.0:
-                failures.append(
-                    f"serving S={row['num_sessions']}: coalesced is SLOWER than "
-                    f"sequential ({row['throughput_ratio']:.2f}x)")
-        return failures
-
-    return measure_with_retry(measure, "serving")
+    record = bench.run_benchmark()
+    bench.write_record(record)
+    bench.print_record(record)
+    checks = []
+    for row in record["results"]:
+        checks += [
+            (row["max_abs_diff"] <= 1e-5,
+             f"serving S={row['num_sessions']}: coalesced outputs diverge "
+             f"(max abs diff {row['max_abs_diff']:.2e} > 1e-5)"),
+            (row["throughput_ratio"] >= 1.0,
+             f"serving S={row['num_sessions']}: coalesced is SLOWER than "
+             f"sequential ({row['throughput_ratio']:.2f}x)"),
+        ]
+    return failures_of(checks)
 
 
 def check_schedulers() -> list[str]:
-    """Policy-layer gates: fairness must be near-free, weighted shares
-    must track the configured ratio, fp16/int8 must shrink the downlink,
-    and deadline batching must beat FIFO tails.
-
-    As with the serving gate, every measurement is appended to
-    ``build/bench-records/BENCH_serving.json`` so the CI artifact
-    records what the gate saw.
-    """
     bench = load_bench("bench_serving")
-
-    def measure() -> list[str]:
-        record = bench.run_scheduler_benchmark(repeats=3)
-        bench.write_record(record)
-        bench.print_scheduler_record(record)
-        failures = []
-        ratio = record["throughput"]["fair_vs_fifo"]
-        if ratio < 0.9:
-            failures.append(
-                f"scheduler: fair-share degrades throughput vs FIFO by more "
-                f"than 10% ({ratio:.2f}x)")
-        by_policy = {row["scheduler"]: row for row in record["simulated"]}
-        if by_policy["deadline"]["p95_ms"] >= by_policy["fifo"]["p95_ms"]:
-            failures.append(
-                f"scheduler: deadline p95 ({by_policy['deadline']['p95_ms']:.1f} ms) "
-                f"does not beat FIFO p95 ({by_policy['fifo']['p95_ms']:.1f} ms)")
-        share_error = record["weighted"]["share_error"]
-        if share_error > 0.15:
-            failures.append(
-                f"scheduler: weighted shares off the configured "
-                f"{record['weighted']['weight_ratio']:g}:1 by "
-                f"{share_error * 100:.1f}% (> 15%): "
-                f"{record['weighted']['share_ratio']:.2f}x")
-        hierarchical = record["weighted"]["hierarchical"]
-        if hierarchical["aggregate_error"] > 0.15:
-            failures.append(
-                f"scheduler: rate-class aggregate share off 1:1 vs the "
-                f"outsider by {hierarchical['aggregate_error'] * 100:.1f}% "
-                f"(> 15%)")
-        if hierarchical["member_split_error"] > 0.15:
-            failures.append(
-                f"scheduler: intra-class members split the class share "
-                f"unevenly ({hierarchical['member_split_ratio']:.2f}x)")
-        reduction = record["codec"]["downlink_reduction"]
-        if reduction < 1.9:
-            failures.append(
-                f"codec: fp16 downlink reduction {reduction:.2f}x below the "
-                f"1.9x bar")
-        int8_reduction = record["codec"]["int8_downlink_reduction"]
-        if int8_reduction < 3.5:
-            failures.append(
-                f"codec: int8 downlink reduction {int8_reduction:.2f}x below "
-                f"the 3.5x bar")
-        return failures
-
-    return measure_with_retry(measure, "scheduler")
+    record = bench.run_scheduler_benchmark()
+    bench.write_record(record)
+    bench.print_scheduler_record(record)
+    ratio = record["throughput"]["fair_vs_fifo"]
+    by_policy = {row["scheduler"]: row for row in record["simulated"]}
+    fifo, deadline = by_policy["fifo"], by_policy["deadline"]
+    weighted = record["weighted"]
+    hierarchical = weighted["hierarchical"]
+    codec = record["codec"]
+    # Affine per-map int8 quantisation promises error <= (max - min) / 510.
+    int8_bound = codec["int8_drift_bound"] * 1.01 + 1e-6
+    return failures_of([
+        (ratio >= 0.9,
+         f"scheduler: fair-share degrades throughput vs FIFO by more than "
+         f"10% ({ratio:.2f}x)"),
+        (deadline["p95_ms"] < fifo["p95_ms"],
+         f"scheduler: deadline p95 ({deadline['p95_ms']:.1f} ms) does not "
+         f"beat FIFO p95 ({fifo['p95_ms']:.1f} ms)"),
+        (deadline["slo_violations"] <= fifo["slo_violations"],
+         f"scheduler: deadline misses more SLOs than FIFO "
+         f"({deadline['slo_violations']} > {fifo['slo_violations']})"),
+        (weighted["share_error"] <= 0.15,
+         f"scheduler: weighted shares off the configured "
+         f"{weighted['weight_ratio']:g}:1 by "
+         f"{weighted['share_error'] * 100:.1f}% (> 15%): "
+         f"{weighted['share_ratio']:.2f}x"),
+        (hierarchical["aggregate_error"] <= 0.15,
+         f"scheduler: rate-class aggregate share off 1:1 vs the outsider "
+         f"by {hierarchical['aggregate_error'] * 100:.1f}% (> 15%)"),
+        (hierarchical["member_split_error"] <= 0.15,
+         f"scheduler: intra-class members split the class share unevenly "
+         f"({hierarchical['member_split_ratio']:.2f}x)"),
+        (codec["downlink_reduction"] >= 1.9,
+         f"codec: fp16 downlink reduction {codec['downlink_reduction']:.2f}x "
+         f"below the 1.9x bar"),
+        (codec["max_abs_diff"] <= 1e-2,
+         f"codec: fp16 feature drift {codec['max_abs_diff']:.2e} above "
+         f"1e-2"),
+        (codec["int8_downlink_reduction"] >= 3.5,
+         f"codec: int8 downlink reduction "
+         f"{codec['int8_downlink_reduction']:.2f}x below the 3.5x bar"),
+        (codec["int8_max_abs_diff"] <= int8_bound,
+         f"codec: int8 feature drift {codec['int8_max_abs_diff']:.2e} above "
+         f"the per-map quantisation bound {int8_bound:.2e}"),
+    ])
 
 
 def check_chaos() -> list[str]:
-    """Resilience gate: faults may cost tail latency, never correctness.
-
-    The replay is fully deterministic (seeded injector, virtual clock),
-    so this gate needs no noise-tolerant retry: a failure is a real
-    regression in the fault-tolerance path, not scheduler jitter.
-    """
+    """Faults may cost tail latency, never correctness."""
     bench = load_bench("bench_serving")
     record = bench.run_chaos_benchmark()
     bench.write_record(record)
     bench.print_chaos_record(record)
-    failures = []
-    for name in ("baseline", "chaos"):
-        if not record[name]["conservation_ok"]:
-            failures.append(
-                f"chaos: {name} replay leaked requests without a terminal "
-                f"state: {record[name]['terminal_counts']}")
-    if record["chaos"]["tick_failures"] < 1:
-        failures.append("chaos: the injected tick crash never fired")
-    if record["goodput_ratio"] < 0.85:
-        failures.append(
-            f"chaos: goodput under {record['frame_fault_rate'] * 100:.0f}% "
-            f"frame faults is {record['goodput_ratio']:.2f}x fault-free "
-            f"(< 0.85x)")
-    return failures
+    checks = [(record[name]["conservation_ok"],
+               f"chaos: {name} replay leaked requests without a terminal "
+               f"state: {record[name]['terminal_counts']}")
+              for name in ("baseline", "chaos")]
+    return failures_of(checks + [
+        (record["chaos"]["tick_failures"] >= 1,
+         "chaos: the injected tick crash never fired"),
+        (record["goodput_ratio"] >= 0.85,
+         f"chaos: goodput under {record['frame_fault_rate'] * 100:.0f}% "
+         f"frame faults is {record['goodput_ratio']:.2f}x fault-free "
+         f"(< 0.85x)"),
+    ])
 
 
 def check_fleet() -> list[str]:
-    """Replicated-tier gate: losing a replica may cost latency, never
-    correctness — and the ring must bound the failover blast radius.
-
-    Deterministic like the chaos gate (seeded plan, virtual clocks per
-    replica), so failures are real fault-tolerance regressions.
-    """
+    """Losing a replica may cost latency, never correctness, and the ring
+    must bound the failover blast radius."""
     bench = load_bench("bench_serving")
     record = bench.run_fleet_chaos_benchmark()
     bench.write_record(record)
     bench.print_fleet_chaos_record(record)
-    failures = []
+    checks = []
     for name in ("baseline", "chaos"):
-        if not record[name]["conservation_ok"]:
-            failures.append(
-                f"fleet: {name} replay leaked requests without a terminal "
-                f"state across failover: {record[name]['terminal_counts']}")
-        if record[name]["duplicate_serves"]:
-            failures.append(
-                f"fleet: {name} replay served "
-                f"{record[name]['duplicate_serves']} requests twice")
-    if record["chaos"]["failovers"] != 1:
-        failures.append(
-            f"fleet: expected exactly 1 failover after the mid-trace kill, "
-            f"saw {record['chaos']['failovers']}")
-    if record["goodput_ratio"] < 0.70:
-        failures.append(
-            f"fleet: goodput after losing 1 of {record['num_replicas']} "
-            f"replicas is {record['goodput_ratio']:.2f}x fault-free "
-            f"(< 0.70x)")
-    if record["chaos"]["migrated_fraction"] > 0.5:
-        failures.append(
-            f"fleet: failover moved "
-            f"{record['chaos']['migrated_fraction'] * 100:.0f}% of live "
-            f"sessions (> 50%); the ring should bound it near "
-            f"1/{record['num_replicas']}")
-    return failures
+        checks += [
+            (record[name]["conservation_ok"],
+             f"fleet: {name} replay leaked requests without a terminal "
+             f"state across failover: {record[name]['terminal_counts']}"),
+            (record[name]["duplicate_serves"] == 0,
+             f"fleet: {name} replay served "
+             f"{record[name]['duplicate_serves']} requests twice"),
+        ]
+    return failures_of(checks + [
+        (record["chaos"]["failovers"] == 1,
+         f"fleet: expected exactly 1 failover after the mid-trace kill, "
+         f"saw {record['chaos']['failovers']}"),
+        (record["goodput_ratio"] >= 0.70,
+         f"fleet: goodput after losing 1 of {record['num_replicas']} "
+         f"replicas is {record['goodput_ratio']:.2f}x fault-free (< 0.70x)"),
+        (record["chaos"]["migrated_fraction"] <= 0.5,
+         f"fleet: failover moved "
+         f"{record['chaos']['migrated_fraction'] * 100:.0f}% of live "
+         f"sessions (> 50%); the ring should bound it near "
+         f"1/{record['num_replicas']}"),
+    ])
 
 
 def check_fleet_scale() -> list[str]:
-    """Fleet-scale gate: elasticity must pay for itself at 10^4 sessions.
-
-    Deterministic (seeded trace generators, virtual clocks), so a
-    failure is a real regression in the autoscaler, the admission
-    controller, or the streaming simulators — not timing noise.
-    """
+    """Elasticity must pay for itself at 10^4 sessions."""
     bench = load_bench("bench_serving")
     record = bench.run_fleet_scale_benchmark()
     bench.write_record(record)
     bench.print_fleet_scale_record(record)
-    failures = []
+    checks = []
     for name in ("static", "autoscaled"):
         arm = record[name]
-        if not arm["conservation_ok"]:
-            failures.append(
-                f"fleet_scale: {name} replay leaked requests without a "
-                f"terminal state")
-        if arm["duplicate_serves"]:
-            failures.append(
-                f"fleet_scale: {name} replay served "
-                f"{arm['duplicate_serves']} requests twice")
-        if arm["exact_latencies_retained"]:
-            failures.append(
-                f"fleet_scale: {name} replay materialised "
-                f"{arm['exact_latencies_retained']} exact latencies for a "
-                f"streamed trace (sketches only at scale)")
-    auto = record["autoscaled"]
-    if auto["spawns"] < 1:
-        failures.append(
-            "fleet_scale: the diurnal peak never forced a scale-up")
-    if auto["migrations"] < 1:
-        failures.append("fleet_scale: scale-up moved no sessions")
-    if not auto["epsilon_ratchet_ok"]:
-        failures.append(
-            "fleet_scale: a live migration rolled a privacy ledger "
-            "backwards")
-    if auto["p99_ms"] > record["static"]["p99_ms"]:
-        failures.append(
-            f"fleet_scale: autoscaled p99 ({auto['p99_ms']:.1f} ms) worse "
-            f"than static ({record['static']['p99_ms']:.1f} ms)")
-    if record["goodput_ratio"] < 1.0:
-        failures.append(
-            f"fleet_scale: autoscaling lost goodput "
-            f"({record['goodput_ratio']:.2f}x static, < 1.0x)")
-    return failures
+        checks += [
+            (arm["conservation_ok"],
+             f"fleet_scale: {name} replay leaked requests without a "
+             f"terminal state"),
+            (arm["duplicate_serves"] == 0,
+             f"fleet_scale: {name} replay served {arm['duplicate_serves']} "
+             f"requests twice"),
+            (arm["exact_latencies_retained"] == 0,
+             f"fleet_scale: {name} replay materialised "
+             f"{arm['exact_latencies_retained']} exact latencies for a "
+             f"streamed trace (sketches only at scale)"),
+        ]
+    auto, static = record["autoscaled"], record["static"]
+    return failures_of(checks + [
+        (auto["spawns"] >= 1,
+         "fleet_scale: the diurnal peak never forced a scale-up"),
+        (auto["migrations"] >= 1, "fleet_scale: scale-up moved no sessions"),
+        (auto["epsilon_ratchet_ok"],
+         "fleet_scale: a live migration rolled a privacy ledger backwards"),
+        (auto["p99_ms"] <= static["p99_ms"],
+         f"fleet_scale: autoscaled p99 ({auto['p99_ms']:.1f} ms) worse than "
+         f"static ({static['p99_ms']:.1f} ms)"),
+        (record["goodput_ratio"] >= 1.0,
+         f"fleet_scale: autoscaling lost goodput "
+         f"({record['goodput_ratio']:.2f}x static, < 1.0x)"),
+    ])
 
 
 def check_privacy() -> list[str]:
-    """Privacy-tier gate: rotation must devalue leaked subsets, budgets
-    must be conserved, and exhausted sessions must be refused.
-
-    Deterministic end to end — the trainer, the data, and the rotation
-    draws (keyed by (session_id, epoch, rotation_index)) are all seeded —
-    so failures are real regressions in the privacy tier, not noise.
-    """
+    """Rotation must devalue leaked subsets, budgets must be conserved and
+    the ladder engage, and exhausted sessions must be refused."""
     bench = load_bench("bench_serving")
     record = bench.run_privacy_benchmark()
     bench.write_record(record)
     bench.print_privacy_record(record)
-    failures = []
     leak = record["subset_leak"]
-    if leak["static"]["ssim_vs_leaked"] < 0.999:
-        failures.append(
-            f"privacy: a leaked subset must decode static traffic "
-            f"perfectly, got SSIM {leak['static']['ssim_vs_leaked']:.4f}")
-    if leak["rotating"]["ssim_vs_leaked"] > leak["static"]["ssim_vs_leaked"] - 0.05:
-        failures.append(
-            f"privacy: per-query rotation does not degrade the leaked "
-            f"subset (rotating SSIM {leak['rotating']['ssim_vs_leaked']:.4f} "
-            f"vs static {leak['static']['ssim_vs_leaked']:.4f})")
+    static, rotating = leak["static"], leak["rotating"]
     exhaustion = record["exhaustion"]
-    if not exhaustion["conservation_ok"]:
-        failures.append(
-            f"privacy: budget not conserved — served {exhaustion['served']} "
-            f"of q_budget {exhaustion['q_budget']}, charged "
-            f"{exhaustion['charged']}")
-    if exhaustion["refused"] < 1:
-        failures.append(
-            "privacy: submits past exhaustion were silently served")
-    if record["accuracy"]["delta"] > 0.25:
-        failures.append(
-            f"privacy: rotation costs {record['accuracy']['delta']:.3f} "
-            f"clean accuracy (> 0.25 tolerance)")
-    return failures
+    levels = {row["level"] for row in exhaustion["ladder_trace"]}
+    extra_sigma = {row["fraction_spent"]: row["extra_sigma"]
+                   for row in record["ladder"]}
+    return failures_of([
+        (static["ssim_vs_leaked"] >= 0.999,
+         f"privacy: a leaked subset must decode static traffic perfectly, "
+         f"got SSIM {static['ssim_vs_leaked']:.4f}"),
+        (rotating["ssim_vs_leaked"] <= static["ssim_vs_leaked"] - 0.05,
+         f"privacy: per-query rotation does not degrade the leaked subset "
+         f"(rotating SSIM {rotating['ssim_vs_leaked']:.4f} vs static "
+         f"{static['ssim_vs_leaked']:.4f})"),
+        (rotating["rotations"] >= record["num_queries"] - 1,
+         f"privacy: {rotating['rotations']} rotations over "
+         f"{record['num_queries']} per-query-rotated queries"),
+        (exhaustion["conservation_ok"],
+         f"privacy: budget not conserved — served {exhaustion['served']} "
+         f"of q_budget {exhaustion['q_budget']}, charged "
+         f"{exhaustion['charged']}"),
+        (exhaustion["refused"] >= 1,
+         "privacy: submits past exhaustion were silently served"),
+        (exhaustion["refused"] == exhaustion["refusals_counted"],
+         f"privacy: {exhaustion['refused']} submits refused but "
+         f"{exhaustion['refusals_counted']} refusals counted"),
+        (exhaustion["exhausted_sessions"] == 1,
+         f"privacy: {exhaustion['exhausted_sessions']} sessions counted "
+         f"exhausted, expected 1"),
+        ({"raise-noise", "shrink-map"} <= levels,
+         f"privacy: the budget ladder never engaged before exhaustion: "
+         f"{sorted(levels)}"),
+        (extra_sigma[0.0] == 0.0 and extra_sigma[0.6] > 0.0,
+         f"privacy: extra uplink sigma {extra_sigma[0.0]} at 0% spent and "
+         f"{extra_sigma[0.6]} at 60% (want 0 and > 0)"),
+        (record["accuracy"]["delta"] <= 0.25,
+         f"privacy: rotation costs {record['accuracy']['delta']:.3f} clean "
+         f"accuracy (> 0.25 tolerance)"),
+    ])
 
 
 def main() -> int:
-    failures = (check_ensemble() + check_kernel_fusion() + check_attack()
-                + check_serving() + check_schedulers() + check_chaos()
-                + check_fleet() + check_fleet_scale() + check_privacy())
+    # One BLAS thread before NumPy loads, as perfbench/run.py pins it, so
+    # a gate ratio and perfbench's per-layer timings describe the same
+    # kernels.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"
+    failures = (measure_with_retry(check_ensemble, "ensemble")
+                + measure_with_retry(check_kernel_fusion, "kernel_fusion")
+                + measure_with_retry(check_attack, "attack")
+                + measure_with_retry(check_serving, "serving")
+                + measure_with_retry(check_schedulers, "scheduler")
+                + check_chaos() + check_fleet() + check_fleet_scale()
+                + check_privacy())
     if failures:
         print("\nPERF CHECK FAILED:")
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print("\nperf check ok: batched >= looped for N >= 5, "
-          "folded fast-path ticks >= 1.15x unfolded at N=8 with zero-copy "
-          "decode no slower than copying, "
-          "fused attack >= looped for K >= 7, "
-          "coalesced serving >= sequential for S >= 4, "
-          "fair-share within 10% of FIFO, deadline p95 < FIFO p95, "
-          "weighted 2:1 shares within 15%, "
-          "fp16 downlink >= 1.9x and int8 >= 3.5x smaller, "
-          "chaos goodput >= 0.85x fault-free with request conservation, "
-          "fleet goodput >= 0.70x after a replica kill with zero duplicate "
-          "serves and a bounded failover blast radius, "
-          "autoscaled fleet p99 <= static at 10^4 sessions with goodput "
-          ">= 1.0x and a monotone epsilon ledger across live migrations, "
-          "privacy rotation devalues leaked subsets with conserved budgets "
-          "and hard refusal past exhaustion")
+    print("\nperf check ok: all nine gates pass (bars in docs/benchmarks.md)")
     return 0
 
 

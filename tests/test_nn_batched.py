@@ -137,8 +137,8 @@ class TestBatchedOps:
 
 
 # Every (ensemble size, width) combination the experiment presets and the
-# benchmark exercise: tiny preset N=4/width 8, small preset N=10/width 16,
-# bench N ∈ {3, 5, 8}.
+# benchmarks exercise: tiny preset N=4/width 8, small preset N=10/width 16,
+# bench N ∈ {5, 8}, plus N=3.
 EXPERIMENT_SHAPES = [(3, 8), (4, 8), (5, 8), (8, 8), (10, 16)]
 
 
