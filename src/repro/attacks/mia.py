@@ -575,13 +575,6 @@ class InversionAttack:
         shadow_head = self.train_shadow(list(bodies))
         return self._assemble("adaptive", shadow_head, {"num_bodies": len(bodies)})
 
-    def attack_subset(self, bodies: list[nn.Module], subset: tuple[int, ...]) -> AttackArtifacts:
-        """Brute-force building block: shadow trained on a chosen subset."""
-        chosen = [bodies[i] for i in subset]
-        shadow_head = self.train_shadow(chosen)
-        return self._assemble(f"subset{tuple(subset)}", shadow_head,
-                              {"subset": tuple(subset)})
-
     # -- multi-attack orchestration (Section III-D sweeps) -----------------
     def _fusable(self, bodies: list[nn.Module]) -> bool:
         """Can this attack configuration compile to stacked trees?

@@ -19,7 +19,6 @@ from repro.nn.modules import (
     Flatten,
     GlobalAvgPool2d,
     Identity,
-    LeakyReLU,
     Linear,
     MaxPool2d,
     Module,
@@ -34,14 +33,11 @@ from repro.nn.modules import (
 from repro.nn.optim import (
     SGD,
     Adam,
-    CosineAnnealingLR,
-    LRScheduler,
     Optimizer,
     StackedAdam,
     StackedSGD,
-    StepLR,
 )
-from repro.nn.tensor import Tensor, as_tensor, concat, no_grad, ones, randn, stack, where, zeros
+from repro.nn.tensor import Tensor, concat, no_grad, ones, stack, where, zeros
 
 __all__ = [
     "Adam",
@@ -49,13 +45,10 @@ __all__ = [
     "BatchNorm2d",
     "Conv2d",
     "ConvTranspose2d",
-    "CosineAnnealingLR",
     "Dropout",
     "Flatten",
     "GlobalAvgPool2d",
     "Identity",
-    "LRScheduler",
-    "LeakyReLU",
     "Linear",
     "MaxPool2d",
     "Module",
@@ -69,7 +62,6 @@ __all__ = [
     "StackedAdam",
     "StackedBodies",
     "StackedSGD",
-    "StepLR",
     "TensorArena",
     "Tanh",
     "Tensor",
@@ -77,7 +69,6 @@ __all__ = [
     "UpsampleNearest2d",
     "active_arena",
     "arena",
-    "as_tensor",
     "batched",
     "concat",
     "functional",
@@ -85,7 +76,6 @@ __all__ = [
     "no_grad",
     "ones",
     "optim",
-    "randn",
     "stack",
     "stack_modules",
     "unbind",

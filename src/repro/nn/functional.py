@@ -745,17 +745,6 @@ def relu(x: Tensor) -> Tensor:
     return x.relu()
 
 
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    """Leaky ReLU: x for x > 0, ``negative_slope * x`` otherwise."""
-    mask = x.data > 0
-    out = np.where(mask, x.data, negative_slope * x.data)
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(g * np.where(mask, 1.0, negative_slope))
-
-    return Tensor._make(out, (x,), backward)
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))

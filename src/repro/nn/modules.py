@@ -293,16 +293,6 @@ class ReLU(Module):
         return F.relu(x)
 
 
-class LeakyReLU(Module):
-    """Leaky ReLU layer."""
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.leaky_relu(x, self.negative_slope)
-
-
 class Tanh(Module):
     """Hyperbolic-tangent layer."""
     def forward(self, x: Tensor) -> Tensor:

@@ -1,4 +1,4 @@
-"""First-order optimisers and learning-rate schedulers.
+"""First-order optimisers.
 
 The ``Stacked*`` variants drive fused multi-net training
 (:mod:`repro.nn.batched`): every parameter carries a leading **ensemble
@@ -10,8 +10,6 @@ leading axis, giving every member independent optimiser state in one pass.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -154,44 +152,3 @@ class StackedAdam(Adam):
         """The given member's (m, v) moment buffers (views, not copies)."""
         return [(m[member], v[member]) for m, v in zip(self._m, self._v)]
 
-
-class LRScheduler:
-    """Base class for learning-rate schedules driving an optimiser in place."""
-
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> float:
-        self.epoch += 1
-        self.optimizer.lr = self.get_lr(self.epoch)
-        return self.optimizer.lr
-
-    def get_lr(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base rate to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
-        super().__init__(optimizer)
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def get_lr(self, epoch: int) -> float:
-        progress = min(epoch, self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1 + math.cos(math.pi * progress))

@@ -555,13 +555,3 @@ def ones(*shape, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad, dtype=dtype)
 
 
-def randn(*shape, rng: np.random.Generator, scale: float = 1.0, requires_grad: bool = False,
-          dtype=DEFAULT_DTYPE) -> Tensor:
-    """Gaussian tensor drawn from ``rng`` with the given std ``scale``."""
-    data = rng.normal(0.0, scale, size=shape).astype(dtype)
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def as_tensor(value, dtype=None) -> Tensor:
-    """Wrap array-like ``value`` in a Tensor (no copy for existing tensors)."""
-    return value if isinstance(value, Tensor) else Tensor(value, dtype=dtype)

@@ -78,7 +78,7 @@ from repro.serving.errors import (
     TERMINAL_STATES,
     BackpressureError,
     CheckpointError,
-    DeadlineExceededError,
+    NoResultError,
     PrivacyExhaustedError,
     ProtocolError,
     RateLimitedError,
@@ -94,7 +94,6 @@ from repro.serving.faults import (
     FaultStats,
     ReplicaFault,
     RetryPolicy,
-    is_serving_error,
 )
 from repro.serving.fleet import (
     FailureDetector,
@@ -167,7 +166,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointStore",
     "Codec",
-    "DeadlineExceededError",
     "DeadlineScheduler",
     "FailureDetector",
     "FairShareScheduler",
@@ -182,6 +180,7 @@ __all__ = [
     "HashRing",
     "InferenceService",
     "LADDER",
+    "NoResultError",
     "OverloadController",
     "OverloadPolicy",
     "PrivacyExhaustedError",
@@ -215,7 +214,6 @@ __all__ = [
     "bursty_trace",
     "diurnal_trace",
     "heavy_tailed_trace",
-    "is_serving_error",
     "make_scheduler",
     "poisson_trace",
     "simulate",

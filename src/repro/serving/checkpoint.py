@@ -37,12 +37,16 @@ Byte layout (version 2, little-endian)::
          ...   9  per request: request id u64, state code u8
         -4     4  CRC32 over all preceding bytes (u32)
 
-Version 1 blobs (no privacy flag defined) still decode — the privacy
-section simply restores absent — but a v1 blob *carrying* flag 8 is
-rejected as unknown, exactly as a v1 build would have rejected it.  The
-privacy block checkpoints accounting *state* (spent ε(α), charged
-queries, rotation index); ladder knobs and the rotation policy are
-deployment config, re-supplied at restore time like the model halves.
+Request-state codes::
+
+    0 QUEUED   1 COMPLETED   3 CANCELLED   4 REJECTED   5 THROTTLED
+    6 FAILED
+
+Code 2 is retired and never reused: a blob carrying it is rejected like
+any unknown code.  Only version 2 decodes.  The privacy block checkpoints accounting *state*
+(spent ε(α), charged queries, rotation index); ladder knobs and the
+rotation policy are deployment config, re-supplied at restore time like
+the model halves.
 
 Two restore paths cover the two failover shapes:
 
@@ -72,8 +76,7 @@ from repro.serving.protocol import Codec
 #: Leading bytes of every checkpoint blob.
 CHECKPOINT_MAGIC = b"ENCP"
 
-#: Version of the layout documented in the module docstring.  Version 1
-#: blobs (same layout minus the privacy flag) still decode; any other
+#: Version of the layout documented in the module docstring; any other
 #: version raises :class:`CheckpointError`.
 CHECKPOINT_VERSION = 2
 
@@ -81,13 +84,7 @@ _FLAG_SELECTOR = 1
 _FLAG_NOISE = 2
 _FLAG_LIMITER = 4
 _FLAG_PRIVACY = 8
-#: Flags each decodable version understands: a v1 blob carrying the
-#: privacy flag is rejected exactly as a v1 build would reject it.
-_KNOWN_FLAGS_BY_VERSION = {
-    1: _FLAG_SELECTOR | _FLAG_NOISE | _FLAG_LIMITER,
-    2: _FLAG_SELECTOR | _FLAG_NOISE | _FLAG_LIMITER | _FLAG_PRIVACY,
-}
-_KNOWN_FLAGS = _KNOWN_FLAGS_BY_VERSION[CHECKPOINT_VERSION]
+_KNOWN_FLAGS = _FLAG_SELECTOR | _FLAG_NOISE | _FLAG_LIMITER | _FLAG_PRIVACY
 
 _HEADER = struct.Struct("<4sHHQIQdH")
 _SEL_HEAD = struct.Struct("<HH")
@@ -98,9 +95,16 @@ _STATE_COUNT = struct.Struct("<I")
 _STATE_ENTRY = struct.Struct("<QB")
 _CRC = struct.Struct("<I")
 
-#: Stable wire codes for request lifecycle states (definition order of
-#: the enum; appending new states keeps old blobs decodable).
-_STATE_CODES = {state: code for code, state in enumerate(RequestState)}
+#: Stable wire codes for request lifecycle states (see the module
+#: docstring); a new state takes a fresh code, and code 2 stays retired.
+_STATE_CODES = {
+    RequestState.QUEUED: 0,
+    RequestState.COMPLETED: 1,
+    RequestState.CANCELLED: 3,
+    RequestState.REJECTED: 4,
+    RequestState.THROTTLED: 5,
+    RequestState.FAILED: 6,
+}
 _CODE_STATES = {code: state for state, code in _STATE_CODES.items()}
 
 
@@ -260,15 +264,13 @@ class SessionState:
             raise CheckpointError(
                 f"bad checkpoint magic {magic!r} (expected "
                 f"{CHECKPOINT_MAGIC!r})")
-        known_flags = _KNOWN_FLAGS_BY_VERSION.get(version)
-        if known_flags is None:
+        if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint version {version} (this build "
-                f"reads versions {sorted(_KNOWN_FLAGS_BY_VERSION)})")
-        if flags & ~known_flags:
+                f"reads version {CHECKPOINT_VERSION})")
+        if flags & ~_KNOWN_FLAGS:
             raise CheckpointError(
-                f"unknown checkpoint flags 0x{flags & ~known_flags:x} for "
-                f"version {version}")
+                f"unknown checkpoint flags 0x{flags & ~_KNOWN_FLAGS:x}")
         try:
             codec = Codec.parse(codec_code)
         except ValueError as exc:

@@ -13,7 +13,7 @@ message strings.  Two families live here:
   this);
 * the :class:`RequestState` lifecycle — each submitted request ends in
   **exactly one** terminal state, which is what makes load shedding,
-  deadline expiry and crash recovery *accountable*: the event-driven
+  cancellation and crash recovery *accountable*: the event-driven
   simulator proves conservation (submitted == sum of terminals) per
   replay.
 
@@ -28,13 +28,13 @@ Request lifecycle
       REJECTED   THROTTLED   QUEUED ◄──────────┐
       (capacity) (rate       │                 │ retry
                   limit)     │                 │ (same request id,
-          ┌─────────┬────────┼────────┐        │  deduplicated)
-          ▼         ▼        ▼        ▼        │
-      CANCELLED  EXPIRED  COMPLETED  FAILED ───┘
-      (session   (dead-   (served)  (tick crash /
-       closed)    line)              corrupt frame)
+          ┌──────────────────┼────────┐        │  deduplicated)
+          ▼                  ▼        ▼        │
+      CANCELLED          COMPLETED  FAILED ────┘
+      (session closed)   (served)  (tick crash /
+                                    corrupt frame)
 
-``REJECTED`` / ``THROTTLED`` / ``EXPIRED`` / ``FAILED`` are *retryable*
+``REJECTED`` / ``THROTTLED`` / ``FAILED`` are *retryable*
 terminals: resubmitting the same request id re-enters ``QUEUED`` and the
 request's final state is whatever its last attempt reached, so a request
 retried to completion counts once, as ``COMPLETED``.
@@ -89,12 +89,14 @@ class UnknownSessionError(ServingError, KeyError):
     """
 
 
-class DeadlineExceededError(ServingError):
-    """The request's deadline passed before a tick could serve it.
+class NoResultError(ServingError, KeyError):
+    """No served response is waiting for the request id.
 
     Raised by :meth:`~repro.serving.session.Session.result` for a request
-    the service shed pre-schedule (``ServingConfig.shed_expired``);
-    counted in ``ServiceStats.expired_requests``.
+    that is still queued, was shed at admission (``REJECTED`` /
+    ``THROTTLED``; resubmit it), was already consumed (results pop on
+    read) or was never submitted.  Subclasses ``KeyError`` as well for
+    backwards compatibility with pre-hierarchy callers.
     """
 
 
@@ -124,8 +126,9 @@ class PrivacyExhaustedError(ServingError):
     Raised by :meth:`InferenceService.submit` once the session's
     :class:`~repro.privacy.budget.PrivacyBudget` reports exhaustion —
     either the cumulative Rényi ε(α) or the ``q_budget`` query cap is
-    depleted.  The session is closed for new work on first refusal
-    (queued requests are cancelled, counted in
+    depleted — and by :meth:`~repro.serving.session.Session.result` for
+    a ``REJECTED`` request of such a session.  The session is closed for
+    new work on first refusal (queued requests are cancelled, counted in
     ``ServiceStats.privacy_refusals`` /
     ``ServiceStats.privacy_exhausted_sessions``) but stays registered as
     a tombstone, so later submits keep raising this error rather than
@@ -150,13 +153,12 @@ class RequestState(enum.Enum):
     """Lifecycle of one submitted request (see the module diagram).
 
     ``QUEUED`` is the only non-terminal state; every submitted request
-    ends in exactly one of the six terminal states, which is the
+    ends in exactly one of the five terminal states, which is the
     conservation invariant ``SimulationReport.conservation_ok`` checks.
     """
 
     QUEUED = "queued"        # admitted (or in flight); not yet terminal
     COMPLETED = "completed"  # served by a tick; response delivered
-    EXPIRED = "expired"      # deadline passed; shed pre-schedule
     CANCELLED = "cancelled"  # session closed with the request queued
     REJECTED = "rejected"    # shed at admission/serve: capacity or privacy
     THROTTLED = "throttled"  # shed at admission: token bucket empty
@@ -176,7 +178,7 @@ class RequestState(enum.Enum):
         deduplicated service-side rather than re-queued.
         """
         return self in (RequestState.REJECTED, RequestState.THROTTLED,
-                        RequestState.EXPIRED, RequestState.FAILED)
+                        RequestState.FAILED)
 
 
 #: The terminal states, in reporting order (conservation checks sum these).

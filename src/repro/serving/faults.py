@@ -40,7 +40,6 @@ from repro.serving.errors import (
     BackpressureError,
     ProtocolError,
     RateLimitedError,
-    ServingError,
     TickFailedError,
 )
 
@@ -330,12 +329,3 @@ class RetryPolicy:
         """
         return isinstance(exc, (BackpressureError, RateLimitedError,
                                 ProtocolError, TickFailedError))
-
-
-def is_serving_error(exc: BaseException) -> bool:
-    """True when ``exc`` belongs to the typed :class:`ServingError` family.
-
-    The serving stack's contract — held by a regression test — is that a
-    request path never raises anything for which this returns False.
-    """
-    return isinstance(exc, ServingError)

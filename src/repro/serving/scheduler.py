@@ -105,16 +105,6 @@ class Scheduler:
         """
         raise NotImplementedError
 
-    def drop_expired(self, now: float) -> list[UploadRequest]:
-        """Shed queued requests whose explicit ``deadline`` passed.
-
-        Called by the service at the top of each tick when
-        ``ServingConfig.shed_expired`` is on; requests without a
-        deadline never expire.  Returns the shed requests so the
-        service can mark them terminally ``EXPIRED``.
-        """
-        raise NotImplementedError
-
     def set_session_weight(self, session_id: int, weight: float) -> None:
         """Record a tenant's negotiated fair-share weight.
 
@@ -173,15 +163,6 @@ class FifoScheduler(Scheduler):
         self._queue = collections.deque(
             r for r in self._queue if r.session_id != session_id)
         return cancelled
-
-    def drop_expired(self, now: float) -> list[UploadRequest]:
-        expired = [r for r in self._queue
-                   if r.deadline is not None and r.deadline < now]
-        if expired:
-            self._queue = collections.deque(
-                r for r in self._queue
-                if r.deadline is None or r.deadline >= now)
-        return expired
 
 
 class FairShareScheduler(Scheduler):
@@ -249,18 +230,6 @@ class FairShareScheduler(Scheduler):
         except ValueError:
             pass
         return list(queue)
-
-    def drop_expired(self, now: float) -> list[UploadRequest]:
-        expired: list[UploadRequest] = []
-        for queue in self._queues.values():
-            kept = [r for r in queue
-                    if r.deadline is None or r.deadline >= now]
-            if len(kept) != len(queue):
-                expired.extend(r for r in queue
-                               if r.deadline is not None and r.deadline < now)
-                queue.clear()
-                queue.extend(kept)
-        return expired
 
 
 class WeightedFairScheduler(Scheduler):
@@ -479,24 +448,6 @@ class WeightedFairScheduler(Scheduler):
             self._open_visit = None
         return list(queue) if queue is not None else []
 
-    def drop_expired(self, now: float) -> list[UploadRequest]:
-        """Shed explicit-deadline requests past ``now`` (no banked credit:
-        a queue drained by expiry loses its deficit like any drain)."""
-        expired: list[UploadRequest] = []
-        for session_id, queue in self._queues.items():
-            kept = [r for r in queue
-                    if r.deadline is None or r.deadline >= now]
-            if len(kept) != len(queue):
-                expired.extend(r for r in queue
-                               if r.deadline is not None and r.deadline < now)
-                queue.clear()
-                queue.extend(kept)
-                if not queue:
-                    self._deficits.pop(session_id, None)
-                    if self._open_visit == session_id:
-                        self._open_visit = None
-        return expired
-
 
 class DeadlineScheduler(Scheduler):
     """Earliest-deadline-first with latency-budgeted adaptive batching.
@@ -596,16 +547,6 @@ class DeadlineScheduler(Scheduler):
         self._items = [item for item in self._items
                        if item[2].session_id != session_id]
         return cancelled
-
-    def drop_expired(self, now: float) -> list[UploadRequest]:
-        """Shed requests whose deadline passed."""
-        expired = [item[2] for item in self._items
-                   if item[2].deadline is not None and item[2].deadline < now]
-        if expired:
-            self._items = [item for item in self._items
-                           if item[2].deadline is None
-                           or item[2].deadline >= now]
-        return expired
 
 
 def make_scheduler(spec: "str | Scheduler") -> Scheduler:

@@ -60,9 +60,8 @@ the simulator checks).  A pluggable
 :class:`~repro.serving.faults.FaultInjector` exercises the wire (frames
 really are mangled and re-parsed through the CRC32-hardened protocol)
 and the tick loop (a crashed stacked pass re-queues its group up to
-``tick_retries`` times, then fails the riders terminally).  Expired
-explicit deadlines are shed pre-schedule when ``shed_expired`` is on,
-idempotent retries are deduplicated against the in-queue id set, and an
+``tick_retries`` times, then fails the riders terminally).  Idempotent
+retries are deduplicated against the in-queue id set, and an
 optional :class:`~repro.serving.overload.OverloadController` walks the
 degradation ladder (shed best-effort tenants → narrow the codec →
 shrink the ensemble) under sustained queue pressure — every step
@@ -216,7 +215,9 @@ class ServingConfig:
     ``DeadlineScheduler`` deliberately ignores it and sizes groups by
     payload and SLO slack.  ``rate_limit`` is the *default* per-session
     token bucket applied to tenants that do not negotiate their own
-    (``None`` = unlimited).
+    (``None`` = unlimited).  ``tick_retries`` bounds how often a crashed
+    pass re-queues a request before it ends ``FAILED``; no setting sheds
+    a request for a passed deadline.
 
     ``fast_path`` enables the eval-time serving optimisations: the
     service owns a :class:`~repro.nn.arena.TensorArena` whose buffers
@@ -233,7 +234,6 @@ submit_bytes` decodes wire frames zero-copy.  Served bytes are
     scheduler: str = "fifo"  # admission/grouping policy (see serving.scheduler)
     codec: str = "fp32"  # default downlink codec sessions negotiate
     rate_limit: RateLimit | None = None  # default per-session token bucket
-    shed_expired: bool = False  # shed explicit-deadline requests pre-schedule
     tick_retries: int = 1  # crashed-pass re-queues before a request FAILs
     fast_path: bool = True   # arena buffer reuse + zero-copy decode
 
@@ -277,7 +277,6 @@ class ServiceStats:
     throttled_requests: int = 0  # shed by per-tenant rate limits
     cancelled_requests: int = 0  # queued work shed by close_session
     peak_coalesced: int = 0
-    expired_requests: int = 0    # shed pre-schedule past their deadline
     deduped_requests: int = 0    # idempotent retries swallowed service-side
     corrupt_frames: int = 0      # uplink frames that failed parse / CRC
     dropped_frames: int = 0      # uplink frames lost on the (faulted) wire
@@ -344,7 +343,6 @@ class InferenceService:
                  rate_limit: RateLimit | tuple | float | None = None,
                  faults: FaultInjector | None = None,
                  overload: "OverloadController | OverloadPolicy | None" = None,
-                 shed_expired: bool = False,
                  tick_retries: int = 1,
                  fast_path: bool = True):
         if not isinstance(server, Server):
@@ -354,7 +352,6 @@ class InferenceService:
                                     scheduler=self.scheduler.name,
                                     codec=Codec.parse(codec).name.lower(),
                                     rate_limit=RateLimit.parse(rate_limit),
-                                    shed_expired=shed_expired,
                                     tick_retries=tick_retries,
                                     fast_path=fast_path)
         self.server = server
@@ -516,13 +513,7 @@ class InferenceService:
         closed = self._sessions.pop(session.session_id, None)
         if closed is not None:
             self._closed_transfer.merge(closed.stats)
-        cancelled = self.scheduler.cancel_session(session.session_id)
-        self.stats.cancelled_requests += len(cancelled)
-        for request in cancelled:
-            self._queued_ids.discard((request.session_id, request.request_id))
-            # The session object outlives its registration: mark the state
-            # on it directly so clients holding the handle see CANCELLED.
-            session._resolve(request.request_id, RequestState.CANCELLED)
+        self._cancel_queued(session)
 
     # -- clock ----------------------------------------------------------
 
@@ -662,11 +653,12 @@ class InferenceService:
         delivers each response (through its session's negotiated codec)
         over the session's channel.
 
-        Fault tolerance wraps that hot path on three sides.  Expired
-        requests (``shed_expired``) are shed pre-schedule and marked
-        ``EXPIRED``.  The overload controller observes queue pressure and
-        may shed best-effort tenants, narrow the served codec or shrink
-        the ensemble subset (responses flagged ``degraded``).  A crashed
+        Fault tolerance wraps that hot path on two sides.  The overload
+        controller observes queue pressure and may shed best-effort
+        tenants, narrow the served codec or shrink the ensemble subset
+        (responses flagged ``degraded``).  Requests are never shed for a
+        passed ``deadline``: deadlines only order groups under the
+        deadline policy, and a late request is served late.  A crashed
         stacked pass — injected by the fault plan or a real exception —
         re-queues its group up to ``tick_retries`` times before marking
         the riders terminally ``FAILED``; the tick itself never raises
@@ -681,10 +673,6 @@ class InferenceService:
         in the same group is refused (``privacy_refusals``), never
         silently served.
         """
-        if self.config.shed_expired:
-            for request in self.scheduler.drop_expired(self.now):
-                self.stats.expired_requests += 1
-                self._finish(request, RequestState.EXPIRED)
         if self.overload is not None:
             self.overload.observe(self.scheduler.pending,
                                   self.config.max_queue)
@@ -829,17 +817,14 @@ class InferenceService:
             request.attempts += 1
             if request.attempts > self.config.tick_retries:
                 self.stats.failed_requests += 1
-                self._finish(request, RequestState.FAILED)
+                self._queued_ids.discard(
+                    (request.session_id, request.request_id))
+                session = self._sessions.get(request.session_id)
+                if session is not None:
+                    session._resolve(request.request_id, RequestState.FAILED)
             else:
                 self.scheduler.enqueue(request)
         return []
-
-    def _finish(self, request: UploadRequest, state: RequestState) -> None:
-        """Move a queued request to a terminal state, exactly once."""
-        self._queued_ids.discard((request.session_id, request.request_id))
-        session = self._sessions.get(request.session_id)
-        if session is not None:
-            session._resolve(request.request_id, state)
 
     def _close_exhausted(self, session: Session) -> None:
         """Close a budget-exhausted session for new work, exactly once.
@@ -855,6 +840,16 @@ class InferenceService:
             return
         session.privacy.closed = True
         self.stats.privacy_exhausted_sessions += 1
+        self._cancel_queued(session)
+
+    def _cancel_queued(self, session: Session) -> None:
+        """Cancel the session's queued requests, exactly once each.
+
+        Counted in ``cancelled_requests`` and marked terminally
+        ``CANCELLED``.  The state is set on the session object itself,
+        which may already be unregistered: clients holding the handle
+        still see ``CANCELLED``.
+        """
         cancelled = self.scheduler.cancel_session(session.session_id)
         self.stats.cancelled_requests += len(cancelled)
         for request in cancelled:

@@ -18,7 +18,8 @@ import numpy as np
 from repro.ci.channel import Channel, TransferStats
 from repro.ci.pipeline import Client
 from repro.serving.errors import (
-    DeadlineExceededError,
+    NoResultError,
+    PrivacyExhaustedError,
     RequestCancelledError,
     RequestState,
     ServingError,
@@ -308,23 +309,22 @@ class Session:
     def result(self, request_id: int) -> np.ndarray:
         """Decode a served request: private selection + tail -> logits.
 
-        Pops the stored response; each result can be consumed once.  A
-        request that reached a non-``COMPLETED`` terminal state raises
-        its typed error instead:
-        :class:`~repro.serving.errors.DeadlineExceededError` (expired),
+        Pops the stored response; each result can be consumed once.
+        Without one it raises a typed
+        :class:`~repro.serving.errors.ServingError`:
         :class:`~repro.serving.errors.RequestCancelledError` (session
-        closed while queued) or
+        closed while queued),
         :class:`~repro.serving.errors.TickFailedError` (crashed passes
-        exhausted their retries, or the upload frame was corrupt).
+        exhausted their retries, or the upload frame was corrupt),
+        :class:`~repro.serving.errors.PrivacyExhaustedError` (refused by
+        a spent privacy budget) or
+        :class:`~repro.serving.errors.NoResultError` (still queued, shed
+        at admission, already consumed or never submitted).
         """
         try:
             response = self._responses.pop(request_id)
         except KeyError:
             state = self._states.get(request_id)
-            if state is RequestState.EXPIRED:
-                raise DeadlineExceededError(
-                    f"request {request_id} of session {self.session_id} "
-                    f"expired before a tick could serve it") from None
             if state is RequestState.CANCELLED:
                 raise RequestCancelledError(
                     f"request {request_id} of session {self.session_id} was "
@@ -335,17 +335,23 @@ class Session:
                     f"failed terminally (crashed stacked passes exhausted "
                     f"their retries, or its upload frame was corrupt)"
                 ) from None
+            if (state is RequestState.REJECTED and self.privacy is not None
+                    and self.privacy.exhausted):
+                raise PrivacyExhaustedError(
+                    f"request {request_id} of session {self.session_id} was "
+                    f"refused: the session spent its privacy budget"
+                ) from None
             if state in (RequestState.REJECTED, RequestState.THROTTLED):
-                raise KeyError(
+                raise NoResultError(
                     f"request {request_id} of session {self.session_id} was "
                     f"shed at admission ({state.value}); resubmit it"
                 ) from None
             if request_id in self._pending:
-                raise KeyError(
+                raise NoResultError(
                     f"request {request_id} of session {self.session_id} has no "
                     f"result yet — run service.tick()/run_until_idle() first"
                 ) from None
-            raise KeyError(
+            raise NoResultError(
                 f"request {request_id} of session {self.session_id} was "
                 f"already consumed (results pop on read) or never submitted"
             ) from None

@@ -217,7 +217,7 @@ class SimulationReport:
         """Completed requests per virtual second of makespan.
 
         *Goodput*, not throughput: only requests that reached their
-        client count, so shed, expired, cancelled and failed work —
+        client count, so shed, cancelled and failed work —
         however much server time it burned — contributes nothing.
         """
         return self.served / self.makespan_s if self.makespan_s > 0 else 0.0
@@ -523,7 +523,6 @@ def _replay(owner, handles, sessions, trace, cost: TickCost,
         rid = handle.replica_id
         failures_before = service.stats.tick_failures
         failed_samples_before = service.stats.tick_failure_samples
-        expired_before = service.stats.expired_requests
         refusals_before = service.stats.privacy_refusals
         responses = service.tick()
         factor = handle.cost_factor(clock)
@@ -535,8 +534,6 @@ def _replay(owner, handles, sessions, trace, cost: TickCost,
                              - failed_samples_before)
                 free_at[rid] = clock + cost.pass_seconds(attempted) * factor
                 continue
-            if service.stats.expired_requests > expired_before:
-                continue  # progress: expired requests were shed pre-schedule
             if service.stats.privacy_refusals > refusals_before:
                 continue  # progress: budget-exhausted riders were refused
             # The scheduler declined to form a group: park the replica

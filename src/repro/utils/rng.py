@@ -46,28 +46,3 @@ def new_rng(seed: int | None = None) -> np.random.Generator:
 def spawn_rng(rng: np.random.Generator) -> np.random.Generator:
     """Derive an independent child generator from ``rng``."""
     return np.random.default_rng(rng.integers(0, 2**63 - 1))
-
-
-def spawn_many(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``rng``."""
-    return [spawn_rng(rng) for _ in range(count)]
-
-
-class RngMixin:
-    """Mixin giving a class a lazily-created private generator.
-
-    Subclasses may set ``self._rng`` in ``__init__``; otherwise the first
-    access derives one from the library default.
-    """
-
-    _rng: np.random.Generator | None = None
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = spawn_rng(_default_rng)
-        return self._rng
-
-    @rng.setter
-    def rng(self, value: np.random.Generator) -> None:
-        self._rng = value

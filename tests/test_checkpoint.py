@@ -54,7 +54,7 @@ def full_state():
         limiter=(20.0, 8.0, 3.25),
         privacy=(2.0, 4.0, 512, 1.25, 17, 3),
         states={3: RequestState.COMPLETED, 9: RequestState.QUEUED,
-                10: RequestState.EXPIRED})
+                10: RequestState.THROTTLED})
 
 
 class TestWireRoundTrip:
@@ -254,10 +254,10 @@ class TestApplyMerge:
         state = SessionState(session_id=session.session_id,
                              next_request_id=6,
                              states={4: RequestState.QUEUED,
-                                     5: RequestState.EXPIRED})
+                                     5: RequestState.FAILED})
         state.apply(session)
         assert session._states[4] is RequestState.COMPLETED  # live truth wins
-        assert session._states[5] is RequestState.EXPIRED    # snapshot fills
+        assert session._states[5] is RequestState.FAILED     # snapshot fills
 
 
 class TestPrivacyCheckpoint:

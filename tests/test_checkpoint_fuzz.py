@@ -157,19 +157,32 @@ class TestTargetedCorruption:
         right after the 38-byte header."""
         return SessionState(session_id=1, privacy=privacy).to_bytes()[:-4]
 
-    def test_v1_blob_without_privacy_still_decodes(self):
-        state = SessionState(session_id=7, selector=(5, (0, 2, 4)),
-                             limiter=(20.0, 8.0, 3.25))
-        body = bytearray(state.to_bytes()[:-4])
-        body[4:6] = struct.pack("<H", 1)  # downgrade: v1 content fits v1
-        decoded = SessionState.from_bytes(reseal(bytes(body)))
-        assert decoded.selector == state.selector
-        assert decoded.limiter == state.limiter
+    def test_state_codes_pinned(self):
+        # The wire codes are part of the layout: each state encodes to
+        # its pinned byte, and code 2 is never reused.
+        pinned = {RequestState.QUEUED: 0, RequestState.COMPLETED: 1,
+                  RequestState.CANCELLED: 3, RequestState.REJECTED: 4,
+                  RequestState.THROTTLED: 5, RequestState.FAILED: 6}
+        assert set(pinned) == set(RequestState)
+        for state, code in pinned.items():
+            blob = SessionState(session_id=1, next_request_id=1,
+                                states={0: state}).to_bytes()
+            assert blob[-5] == code  # the state code precedes the CRC
+            assert SessionState.from_bytes(blob).states == {0: state}
 
-    def test_v1_blob_with_privacy_flag_rejected(self):
-        body = bytearray(self.privacy_body())
-        body[4:6] = struct.pack("<H", 1)  # v1 never defined flag 8
-        with pytest.raises(CheckpointError, match="flag"):
+    def test_retired_state_code_rejected(self):
+        state = SessionState(session_id=1, next_request_id=1,
+                             states={0: RequestState.CANCELLED})
+        blob = bytearray(state.to_bytes()[:-4])
+        blob[-1] = 2  # the retired deadline-expiry code
+        with pytest.raises(CheckpointError, match="state code 2"):
+            SessionState.from_bytes(reseal(bytes(blob)))
+
+    def test_v1_header_rejected_as_unsupported_version(self):
+        body = bytearray(SessionState(session_id=7).to_bytes()[:-4])
+        body[4:6] = struct.pack("<H", 1)
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 1"):
             SessionState.from_bytes(reseal(bytes(body)))
 
     def test_out_of_range_privacy_fields_rejected(self):

@@ -25,7 +25,6 @@ from repro.serving import (
     TickFailedError,
     UploadRequest,
     bursty_trace,
-    is_serving_error,
     simulate,
 )
 from repro.serving.faults import (
@@ -401,9 +400,3 @@ class TestChaosSimulation:
         assert report.conservation_ok
         assert report.terminal_counts["completed"] == 24
         assert report.retries == 0 and report.tick_failures == 0
-
-
-def test_is_serving_error_helper():
-    assert is_serving_error(BackpressureError("x"))
-    assert is_serving_error(ProtocolError("x"))
-    assert not is_serving_error(ValueError("x"))

@@ -1,5 +1,6 @@
 """Regression tests for the request lifecycle: the ServingError contract,
-deadline expiry, cancellation under every scheduler, and conservation."""
+deadlines that order but never shed, cancellation under every scheduler,
+and conservation."""
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from repro.serving import (
     TERMINAL_STATES,
     Arrival,
     BackpressureError,
-    DeadlineExceededError,
     DeadlineScheduler,
     FaultInjector,
     FaultPlan,
     InferenceService,
+    NoResultError,
+    PrivacyExhaustedError,
     ProtocolError,
     RateLimit,
     RateLimitedError,
@@ -61,14 +63,16 @@ def make_service(scheduler="fifo", num_sessions=2, **kwargs):
 class TestErrorHierarchy:
     def test_every_serving_exception_derives_from_serving_error(self):
         for exc_type in (BackpressureError, RateLimitedError, ProtocolError,
-                         UnknownSessionError, DeadlineExceededError,
-                         TickFailedError, RequestCancelledError):
+                         UnknownSessionError, NoResultError,
+                         TickFailedError, RequestCancelledError,
+                         PrivacyExhaustedError):
             assert issubclass(exc_type, ServingError)
 
     def test_compat_aliases(self):
         # Pre-hierarchy callers caught ValueError / KeyError; both still work.
         assert issubclass(ProtocolError, ValueError)
         assert issubclass(UnknownSessionError, KeyError)
+        assert issubclass(NoResultError, KeyError)
 
     def test_submit_never_raises_outside_serving_error(self):
         """The safety-net contract: whatever goes wrong at submit — full
@@ -102,37 +106,78 @@ class TestErrorHierarchy:
         with pytest.raises(UnknownSessionError):
             service.submit(UploadRequest(99, 0, FEATURES))
 
+    def test_result_never_raises_outside_serving_error(self):
+        """The same contract at ``result``: every id without a served
+        response raises a typed error, whatever state it is in."""
+        faults = FaultInjector(FaultPlan(tick_failures_at=(0, 1)), seed=0)
+        service, (session, other) = make_service(
+            num_sessions=2, max_batch=1, max_queue=2, faults=faults,
+            tick_retries=1, rate_limit=RateLimit(rate_per_s=1.0, burst=3.0))
+        failed = session.submit_features(FEATURES)
+        service.tick()
+        service.tick()  # the second crash exhausts the one retry
+        consumed = session.submit_features(FEATURES)
+        service.tick()
+        session.result(consumed)
+        queued = session.submit_features(FEATURES)
+        other.submit_features(FEATURES)  # the queue is now full
+        other_rejected = other.reserve_request_id()
+        with pytest.raises(BackpressureError):
+            other.submit_features(FEATURES, request_id=other_rejected)
+        throttled = session.reserve_request_id()
+        with pytest.raises(RateLimitedError):  # burst 3 spent
+            session.submit_features(FEATURES, request_id=throttled)
+        assert session.request_state(queued) is RequestState.QUEUED
+        with pytest.raises(NoResultError, match="no\\s+result yet"):
+            session.result(queued)
+        service.run_until_idle()
+        cancelled = other.submit_features(FEATURES)
+        service.close_session(other)
+        expected = [(session, failed, RequestState.FAILED, TickFailedError),
+                    (session, consumed, RequestState.COMPLETED, NoResultError),
+                    (session, throttled, RequestState.THROTTLED, NoResultError),
+                    (other, other_rejected, RequestState.REJECTED,
+                     NoResultError),
+                    (other, cancelled, RequestState.CANCELLED,
+                     RequestCancelledError),
+                    (session, 99, None, NoResultError)]
+        for owner, request_id, state, error in expected:
+            assert owner.request_state(request_id) is state
+            with pytest.raises(error) as raised:
+                owner.result(request_id)
+            assert isinstance(raised.value, ServingError)
 
-class TestDeadlineExpiry:
-    def test_expired_requests_shed_and_typed(self):
-        service, (session, _) = make_service(shed_expired=True)
-        request_id = session.submit_features(FEATURES, deadline=0.01)
-        service.advance_clock(0.02)  # the SLO passes before any tick
-        assert service.tick() == []
-        assert service.stats.expired_requests == 1
-        assert session.request_state(request_id) is RequestState.EXPIRED
-        with pytest.raises(DeadlineExceededError):
-            session.result(request_id)
+    def test_privacy_refused_result_is_typed(self):
+        service, _ = make_service(max_batch=2)
+        session = service.adopt_session(Client(nn.Identity(), nn.Identity()),
+                                        privacy=(2.0, 1000.0, 1))
+        first = session.submit_features(FEATURES)
+        refused = session.submit_features(FEATURES)
+        service.tick()  # the first response spends the last query
+        assert session.request_state(refused) is RequestState.REJECTED
+        session.result(first)
+        with pytest.raises(PrivacyExhaustedError):
+            session.result(refused)
 
-    def test_implicit_deadlines_never_expire(self):
-        # Only *explicit* per-request SLOs may shed work: a request
-        # without one queues under the deadline policy for as long as
-        # it takes.
+
+class TestDeadlines:
+    def test_deadline_scheduler_serves_requests_without_deadline(self):
+        # A request without an explicit SLO queues behind deadlined work
+        # under the deadline policy, for as long as it takes, and serves.
         scheduler = DeadlineScheduler()
-        service, (session, _) = make_service(scheduler, shed_expired=True)
+        service, (session, _) = make_service(scheduler)
         request_id = session.submit_features(FEATURES)  # no explicit deadline
         service.advance_clock(10.0)
         responses = service.tick()
         assert len(responses) == 1
-        assert service.stats.expired_requests == 0
         assert session.request_state(request_id) is RequestState.COMPLETED
 
-    def test_shedding_off_by_default(self):
-        service, (session, _) = make_service()  # shed_expired defaults False
-        session.submit_features(FEATURES, deadline=0.01)
+    def test_passed_deadline_is_served_late_not_shed(self):
+        service, (session, _) = make_service()
+        request_id = session.submit_features(FEATURES, deadline=0.01)
         service.advance_clock(1.0)
-        assert len(service.tick()) == 1  # served late, not shed
-        assert service.stats.expired_requests == 0
+        assert len(service.tick()) == 1
+        assert session.request_state(request_id) is RequestState.COMPLETED
 
 
 class TestCancellation:
@@ -236,6 +281,7 @@ class TestConservation:
         assert not RequestState.QUEUED.terminal
         assert all(s.terminal for s in TERMINAL_STATES)
         assert RequestState.REJECTED.retryable
-        assert RequestState.EXPIRED.retryable
+        assert RequestState.THROTTLED.retryable
+        assert RequestState.FAILED.retryable
         assert not RequestState.CANCELLED.retryable
         assert not RequestState.COMPLETED.retryable

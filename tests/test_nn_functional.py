@@ -318,10 +318,6 @@ class TestActivationsLosses:
         a, b = rand_tensor(rng, 2, 5), rand_tensor(rng, 2, 5)
         assert_gradients_close(lambda: F.cosine_similarity(a, b).sum(), [a, b], rtol=1e-3)
 
-    def test_leaky_relu_grad(self):
-        a = rand_tensor(rng, 4, 4)
-        assert_gradients_close(lambda: F.leaky_relu(a, 0.1).sum(), [a])
-
 
 class TestDropout:
     def test_eval_mode_is_identity(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.optim import SGD, Adam, CosineAnnealingLR, StepLR
+from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor
 from repro.utils.rng import new_rng
 
@@ -266,30 +266,6 @@ class TestOptim:
             loss = problem.loss()
             loss.backward()
             opt.step()
-
-
-class TestSchedulers:
-    def test_step_lr_decays(self):
-        layer = nn.Linear(2, 2, rng=new_rng(0))
-        opt = SGD(layer.parameters(), lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_cosine_endpoints(self):
-        layer = nn.Linear(2, 2, rng=new_rng(0))
-        opt = SGD(layer.parameters(), lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.0)
-        for _ in range(10):
-            last = sched.step()
-        assert last == pytest.approx(0.0, abs=1e-9)
-
-    def test_cosine_monotone_decreasing(self):
-        layer = nn.Linear(2, 2, rng=new_rng(0))
-        opt = SGD(layer.parameters(), lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=8)
-        lrs = [sched.step() for _ in range(8)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
 
 class TestEndToEndTraining:

@@ -364,7 +364,6 @@ scheduler_ops = st.lists(st.one_of(
               st.one_of(st.none(), st.floats(0.0, 1.0))),
     st.tuples(st.just("next_group"), st.floats(0.0, 0.5), st.integers(1, 4)),
     st.tuples(st.just("cancel"), st.integers(0, 3)),
-    st.tuples(st.just("expire"), st.floats(0.0, 1.0)),
     st.tuples(st.just("weight"), st.integers(0, 3),
               st.sampled_from([0.0, 0.5, 1.0, 2.0])),
 ), max_size=60)
@@ -374,7 +373,7 @@ class TestGroupContract:
     """The one contract every policy keeps, under random operation mixes:
     a group shares one coalesce key, is non-empty while work is pending,
     ``pending`` counts exactly the live requests, and every request
-    leaves exactly once — through a group, a cancel or an expiry."""
+    leaves exactly once — through a group or a cancel."""
 
     @settings(max_examples=300, deadline=None)
     @given(name=st.sampled_from(POLICY_NAMES), ops=scheduler_ops)
@@ -411,12 +410,6 @@ class TestGroupContract:
                 cancelled = scheduler.cancel_session(op[1])
                 assert all(r.session_id == op[1] for r in cancelled)
                 leave(cancelled)
-            elif kind == "expire":
-                now += op[1]
-                expired = scheduler.drop_expired(now)
-                assert all(r.deadline is not None and r.deadline < now
-                           for r in expired)
-                leave(expired)
             else:
                 scheduler.set_session_weight(op[1], op[2])
             assert scheduler.pending == len(live)

@@ -387,7 +387,7 @@ class TestGoldenFleetReplay:
     def test_outcome_is_pinned(self):
         report = self.replay()
         assert report.terminal_counts == {
-            "cancelled": 0, "completed": 2996, "expired": 0, "failed": 1,
+            "cancelled": 0, "completed": 2996, "failed": 1,
             "rejected": 3, "throttled": 0}
         assert report.ticks == 1230
         assert report.retries == 321

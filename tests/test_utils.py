@@ -11,11 +11,9 @@ from repro.core.selector import Selector
 from repro.utils.config import FrozenConfig
 from repro.utils.logging import enable_console_logging, get_logger
 from repro.utils.rng import (
-    RngMixin,
     default_rng,
     new_rng,
     seed_everything,
-    spawn_many,
     spawn_rng,
 )
 from repro.utils.serialization import load_module, load_selector, save_module, save_selector
@@ -47,19 +45,6 @@ class TestRng:
         parent = new_rng(0)
         a, b = spawn_rng(parent), spawn_rng(parent)
         assert a.integers(0, 10**9) != b.integers(0, 10**9)
-
-    def test_spawn_many_count(self):
-        assert len(spawn_many(new_rng(0), 5)) == 5
-
-    def test_rng_mixin_lazy_creation(self):
-        class Thing(RngMixin):
-            pass
-
-        thing = Thing()
-        assert thing.rng is thing.rng  # cached after first access
-        custom = new_rng(3)
-        thing.rng = custom
-        assert thing.rng is custom
 
 
 class TestFrozenConfig:
