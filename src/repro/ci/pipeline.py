@@ -34,8 +34,16 @@ import numpy as np
 
 from repro import nn
 from repro.ci.channel import Channel
+from repro.nn.arena import active_arena
 from repro.nn.batched import StackedBodies, fold_batch_norm
 from repro.nn.tensor import Tensor, no_grad
+
+#: Bytes of stacked activations one chunk of the fused pass may hold: a
+#: chunk takes as many images as fit ``k · (one image's upload bytes)``
+#: each, for ``k`` bodies.  A 2 MiB working set is reused chunk after
+#: chunk instead of being allocated, trimmed and faulted back in at the
+#: whole batch's size on every pass.
+CHUNK_BYTES = 2 << 20
 
 
 class Client:
@@ -123,9 +131,14 @@ class Server:
                 num_bodies: int | None = None) -> list[np.ndarray]:
         """Run every body on the uploaded features and return all outputs.
 
-        The uploaded buffer is only copied on the (rare) recording path —
-        the common ``record=False`` serve path wraps it once, zero-copy, and
-        shares that one tensor across the whole body ensemble.
+        The uploaded buffer is only copied on the (rare) recording path;
+        the common ``record=False`` serve path reads it zero-copy.  The
+        fused engine runs it depth-first in chunks of images along the
+        batch axis (:data:`CHUNK_BYTES`), each chunk a zero-copy view of
+        the upload shared by every body, and the per-chunk ``(k, n, ...)``
+        outputs are joined along the batch axis.  Each image's eval output
+        does not depend on the rest of its batch, so chunking does not
+        change a served bit.  The looped backend runs the whole batch.
 
         ``num_bodies`` restricts the pass to the first ``k`` bodies — the
         overload controller's shrunken-ensemble degradation — returning
@@ -159,10 +172,30 @@ class Server:
             engine = (self._engine(k) if self.backend == "batched" and k > 1
                       else None)
             if engine is not None:
-                stacked_out = engine(x).data
+                stacked_out = _chunked_pass(engine, features, k)
                 return [np.ascontiguousarray(stacked_out[i])
                         for i in range(k)]
             return [body(x).data for body in self.bodies[:k]]
+
+
+def _chunked_pass(engine: StackedBodies, features: np.ndarray,
+                  k: int) -> np.ndarray:
+    """``engine(features).data``, run over chunks of :data:`CHUNK_BYTES`.
+
+    A batch that fits one chunk runs as one pass.  Under an active arena
+    every chunk starts a new arena pass, so each chunk's layers reuse the
+    slots of the chunk before instead of taking new ones.
+    """
+    chunk = max(1, CHUNK_BYTES // max(1, k * features[:1].nbytes))
+    if len(features) <= chunk:
+        return engine(Tensor(features)).data
+    arena = active_arena()
+    outs = []
+    for start in range(0, len(features), chunk):
+        if arena is not None:
+            arena.begin_pass()
+        outs.append(engine(Tensor(features[start:start + chunk])).data)
+    return np.concatenate(outs, axis=1)
 
 
 class _SingleSessionPipeline:

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro import nn
 from repro.nn import batched
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.utils.config import FrozenConfig
 from repro.utils.rng import new_rng, spawn_rng
 
@@ -182,9 +182,17 @@ class StackedBasicBlock(batched.StackedModule):
         self.shortcut = batched.stack_modules([b.shortcut for b in blocks])
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.bn1(self.conv1(x)).relu()
+        if is_grad_enabled():
+            out = self.bn1(self.conv1(x)).relu()
+            out = self.bn2(self.conv2(out))
+            return (out + self.shortcut(x)).relu()
+        # No backward will read the conv outputs, which are fresh arrays,
+        # so the activation and the residual add write into them: the same
+        # arithmetic in the same order, minus two full-size copies.
+        out = self.bn1(self.conv1(x)).relu(inplace=True)
         out = self.bn2(self.conv2(out))
-        return (out + self.shortcut(x)).relu()
+        out.data += self.shortcut(x).data
+        return out.relu(inplace=True)
 
 
 @batched.register_stacker(ResNetHead)

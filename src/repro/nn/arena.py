@@ -17,6 +17,11 @@ whole batch, and its shape depends on the layer alone.  The kernel is
 the same with or without an arena — the arena only decides where its
 scratch comes from — so outputs are bit-equal either way.
 
+One arena pass need not be one batch: ``Server.compute`` runs a large
+batch as image chunks (:data:`repro.ci.pipeline.CHUNK_BYTES`) and calls
+:meth:`TensorArena.begin_pass` before each, so every chunk rewinds to
+the same slots and the pool is as large for many chunks as for one.
+
 Safety model
 ------------
 Arena buffers are only handed to kernels while no backward will be
@@ -43,6 +48,8 @@ Usage::
     arena = TensorArena()
     with use_arena(arena):          # resets per-pass slot counters
         out = engine(features)      # kernels call arena.take(...)
+        arena.begin_pass()          # a second pass (a chunk) rewinds
+        out2 = engine(more)         # ...and reuses the same slots
 
 The context manager is re-entrant-safe (the previously active arena is
 restored on exit) but not thread-safe — the serving tier is a

@@ -615,8 +615,7 @@ class StackedBodies(StackedModule):
     """All N server bodies compiled into one fused batched forward.
 
     ``forward`` takes the shared uploaded features ``(N, C, H, W)`` and
-    returns the stacked outputs ``(E, N, ...)``; ``forward_list`` unbinds
-    them into the per-body list the protocol transmits.  The stacked
+    returns the stacked outputs ``(E, N, ...)``.  The stacked
     parameters are a *copy* of the source bodies' — call :meth:`sync_from`
     after mutating the bodies (or :meth:`unstack_to` after fine-tuning the
     stacked copy) to keep the two representations interchangeable.
@@ -668,9 +667,6 @@ class StackedBodies(StackedModule):
             # through untouched, so materialise the ensemble axis explicitly.
             out = tensor_stack([out] * self.num_stacked)
         return out
-
-    def forward_list(self, features: Tensor) -> list[Tensor]:
-        return unbind(self.forward(features))
 
     def sync_from(self, bodies: list[Module]) -> "StackedBodies":
         self.stacked.sync_from(self._check_arity(bodies))

@@ -371,8 +371,18 @@ class Tensor:
         out_data = np.where(positive, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg))
         return Tensor._make(out_data, (a,), lambda g: a._accumulate(g * out_data * (1.0 - out_data)))
 
-    def relu(self) -> "Tensor":
+    def relu(self, inplace: bool = False) -> "Tensor":
+        """``max(x, 0)``.  With ``inplace`` the result overwrites this
+        tensor's buffer and the tensor itself is returned; that is refused
+        when a backward would be wired, since the tape would read the
+        overwritten input."""
         a = self
+        if inplace:
+            if _grad_enabled and a.requires_grad:
+                raise RuntimeError("in-place relu on a tensor whose backward "
+                                   "would be wired; use relu()")
+            np.maximum(a.data, 0.0, out=a.data)
+            return a
 
         def backward(g):
             # Mask computed lazily: inference never pays for it.  The tape

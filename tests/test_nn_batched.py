@@ -156,15 +156,6 @@ class TestStackedBodies:
         for i in range(num_nets):
             assert np.abs(fused.data[i] - looped[i].data).max() <= 1e-5
 
-    def test_forward_list_unbinds(self):
-        bodies = make_bodies(3)
-        stacked = StackedBodies(bodies)
-        stacked.eval()
-        with no_grad():
-            outs = stacked.forward_list(Tensor(features_for(8)))
-        assert len(outs) == 3
-        assert all(isinstance(o, Tensor) for o in outs)
-
     def test_gradient_parity_with_loop(self):
         """Input and parameter gradients agree between the two backends."""
         bodies = make_bodies(3)
