@@ -6,18 +6,22 @@ change, ``--pairs`` times each.  Pair ``i`` runs the parent first when
 ``i`` is even and the change first when it is odd, so a drift of the host
 over the session falls on both sides alike.  For every end-to-end metric
 it prints each pair's two values, how many pairs the change won (ties
-count for neither side), and each side's median and quartiles.  A gain
-holds when the change wins at least nine tenths of the pairs and its
-median beats the parent's by more than the parent's interquartile
-spread (see "Comparing two commits" in docs/benchmarks.md).
+count for neither side), each side's median and quartiles, and whether
+the change's median is worse than the parent's by more than the metric's
+``bound`` (a fraction of the parent's median).  It also prints each
+side's failure share (failed / attempted operations).  A gain holds when
+the change wins at least nine tenths of the pairs, its median beats the
+parent's by more than the parent's interquartile spread, and its failure
+share is no larger than the parent's (see "Comparing two commits" in
+docs/benchmarks.md).
 
 Usage (from the root of the change's checkout)::
 
     git worktree add ../parent HEAD~1     # or: git archive HEAD~1 | tar -x -C ../parent
     python scripts/perf_pairs.py --parent ../parent --workload bulk --seed 1 --pairs 10
 
-The directions of the metrics come from ``BENCHMARK.json`` of the
-change's checkout, the run length from ``--seconds`` (default: that
+The directions and bounds of the metrics come from ``BENCHMARK.json``
+of the change's checkout, the run length from ``--seconds`` (default: that
 file's ``run_seconds``).
 """
 
@@ -43,13 +47,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(parent: list[float], change: list[float],
-              better: str) -> dict:
-    """Wins, medians, quartiles and the gain verdict of paired runs.
+def failure_share(failed: int, attempted: int) -> float:
+    """Failed operations as a share of attempted ones (0 when none ran)."""
+    return failed / attempted if attempted else 0.0
+
+
+def summarize(parent: list[float], change: list[float], better: str,
+              bound: float | None = None,
+              failure_shares: tuple[float, float] = (0.0, 0.0)) -> dict:
+    """Wins, medians, quartiles and the verdicts of paired runs.
 
     ``parent[i]`` and ``change[i]`` are pair ``i``; ``better`` is
     ``"higher"`` or ``"lower"``.  ``gain`` is the change's median minus
-    the parent's, signed so that positive is better.
+    the parent's, signed so that positive is better.  ``beyond_bound``
+    says whether the change's median is worse than the parent's by more
+    than ``bound`` times the parent's median (``False`` without a
+    bound).  ``failure_shares`` is (parent, change); a gain never holds
+    when the change's share is the larger.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change value per pair")
@@ -62,11 +76,14 @@ def summarize(parent: list[float], change: list[float],
     c_q = quartiles(change)
     gain = sign * (c_q[1] - p_q[1])
     spread = p_q[2] - p_q[0]
+    parent_share, change_share = failure_shares
     return {
         "pairs": len(parent), "wins": wins, "losses": losses,
         "parent": p_q, "change": c_q, "gain": gain,
         "parent_iqr": spread,
-        "claim_holds": wins >= WIN_SHARE * len(parent) and gain > spread,
+        "beyond_bound": bound is not None and -gain > bound * abs(p_q[1]),
+        "claim_holds": (wins >= WIN_SHARE * len(parent) and gain > spread
+                        and change_share <= parent_share),
     }
 
 
@@ -99,33 +116,42 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     values = {"parent": {m: [] for m in better},
               "change": {m: [] for m in better}}
     failed = {"parent": 0, "change": 0}
+    attempted = {"parent": 0, "change": 0}
     for index in range(args.pairs):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:
             checkout = args.parent if side == "parent" else args.change
             result = run_once(checkout, args.workload, args.seed, args.seconds)
             failed[side] += result["failed"]
+            attempted[side] += result["attempted"]
             for metric in better:
                 values[side][metric].append(result["metrics"][metric]["value"])
         print(f"pair {index + 1} ({order[0]} first): " + ", ".join(
             f"{m} {values['parent'][m][-1]:.4g} -> {values['change'][m][-1]:.4g}"
             for m in better), flush=True)
+    shares = tuple(failure_share(failed[side], attempted[side])
+                   for side in ("parent", "change"))
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds:g} s; failed operations: parent {failed['parent']}, "
-          f"change {failed['change']}")
+          f"{args.seconds:g} s; failed operations: parent {failed['parent']}/"
+          f"{attempted['parent']} ({shares[0]:.2%}), change {failed['change']}/"
+          f"{attempted['change']} ({shares[1]:.2%})"
+          + ("; the change fails a larger share" if shares[1] > shares[0] else ""))
     for metric, direction in better.items():
         s = summarize(values["parent"][metric], values["change"][metric],
-                      direction)
+                      direction, bounds[metric], shares)
         print(f"{metric} ({direction} is better): change won {s['wins']}/"
               f"{s['pairs']} (lost {s['losses']}); parent median "
               f"{s['parent'][1]:.4g} [q {s['parent'][0]:.4g}-{s['parent'][2]:.4g}], "
               f"change median {s['change'][1]:.4g} "
               f"[q {s['change'][0]:.4g}-{s['change'][2]:.4g}]; gain "
               f"{s['gain']:+.4g} vs parent IQR {s['parent_iqr']:.4g}: "
-              f"{'gain holds' if s['claim_holds'] else 'no gain claimed'}")
+              f"{'gain holds' if s['claim_holds'] else 'no gain claimed'}; "
+              f"worse than the parent beyond its {bounds[metric]:.0%} bound: "
+              f"{'YES' if s['beyond_bound'] else 'no'}")
     return 0
 
 

@@ -26,8 +26,12 @@ Safety model
 ------------
 Arena buffers are only handed to kernels while no backward will be
 wired (the kernels check :func:`repro.nn.tensor.is_grad_enabled` and the
-operands' ``requires_grad``), because backward closures capture the
-im2col columns — a reused buffer would corrupt a pending backward.
+operands' ``requires_grad``).  No correctness reason is left for that:
+a wired conv keeps nothing but its operands (its weight gradient lowers
+the input again in the backward), so its scratch is consumed inside the
+op as in a no-grad pass.  The rule keeps the pool sized by the one pass
+it serves: training never runs under :func:`use_arena`, and a grad pass
+inside one would only add its own slots to the serving pool.
 Kernels also never place an array that *escapes* the pass (layer
 outputs, response payloads) in the arena: only scratch that is
 provably consumed inside the op may live there, so a poisoned arena

@@ -95,15 +95,20 @@ def _conv2d_nograd(x: np.ndarray, weight: np.ndarray,
     array.  Images are processed in blocks whose im2col columns fit in
     :data:`BLOCK_BYTES`; per block the kernel pads, lowers and runs one
     GEMM per image — ``(E·out_c, K)`` for a shared input, the member's own
-    ``(out_c, K)`` otherwise — and writes the result, plus ``bias``, into
-    the fresh output while the block is still in cache.  A block holds
-    images of one member, or whole members when they fit.
+    ``(out_c, K)`` otherwise — and writes the result into the fresh output
+    while the block is still in cache.  A block holds images of one
+    member, or whole members when they fit.  The bias rides in the GEMM:
+    the columns carry a row of ones and the weight matrix a bias column.
 
-    Stride-1 kernels lower whole padded rows: the column row of kernel tap
-    ``(i, j)`` is the run of ``(oh−1)·wp + ow`` floats starting at padded
-    offset ``i·wp + j``, so the GEMM yields ``wp``-wide output rows whose
-    last ``wp − ow`` entries (which straddle a row break) are cropped.  A
-    1x1 stride-1 pad-0 kernel lowers nothing: its block is the input.
+    Each channel's pad canvas is flat, with rows ``wp = max(w + p, ow)``
+    floats wide, so a row's right pad is the next row's left pad: a tap
+    reads at most ``p`` floats past a row's end, all in that left pad.
+    The canvas ends with the last row's right pad.  Stride-1 kernels lower
+    whole rows: the column row of kernel tap ``(i, j)`` is the run of
+    ``(oh−1)·wp + ow`` floats starting at offset ``i·wp + j``, so the GEMM
+    yields ``wp``-wide output rows whose last ``wp − ow`` entries (which
+    straddle a row break) are cropped.  A 1x1 stride-1 pad-0 kernel lowers
+    nothing: its block is the input, and its bias is a separate add.
 
     Scratch (pad canvas, columns, pre-crop GEMM result) is block-shaped,
     so its shape depends on the layer alone, not on the batch; it comes
@@ -116,10 +121,14 @@ def _conv2d_nograd(x: np.ndarray, weight: np.ndarray,
     n, c, h, w = x.shape[-4:]
     members = 1 if shared else e
     images = x.reshape(members * n, c, h, w)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    k = in_c * kh * kw
+    hp = h + 2 * padding
+    wp = max(w + padding, out_w)
+    plane = hp * wp + w + 2 * padding - wp  # one channel's flat canvas
     pointwise = kh == kw == 1 and stride == 1 and padding == 0
-    run_w = wp if stride == 1 and not pointwise else out_w
+    fused = bias is not None and not pointwise
+    k = in_c * kh * kw
+    kb = k + fused  # column rows, the ones row included
+    run_w = wp if stride == 1 else out_w
     length = out_h * run_w
     crop = run_w != out_w
     dtype = np.result_type(weight.dtype, x.dtype)
@@ -127,8 +136,11 @@ def _conv2d_nograd(x: np.ndarray, weight: np.ndarray,
     wmat = weight.reshape(members, 1, rows, k)
     if bias is not None:
         bias = bias.reshape(members, 1, rows, 1)
+    if fused:  # a bias column; only a pointwise kernel adds the bias after
+        wmat = np.concatenate((wmat, bias), axis=-1, dtype=wmat.dtype)
+        bias = None
     out = np.empty((e, n, out_c, out_h, out_w), dtype=dtype)
-    block = max(1, BLOCK_BYTES // (k * length * x.itemsize))
+    block = max(1, BLOCK_BYTES // (kb * length * x.itemsize))
 
     def scratch(tag, shape, dt):
         if arena is None:
@@ -137,9 +149,20 @@ def _conv2d_nograd(x: np.ndarray, weight: np.ndarray,
 
     if padding:
         # Borders are zeroed once; blocks only overwrite the interior.
-        canvas = scratch("pad", (block, c, hp, wp), x.dtype)
+        canvas = scratch("pad", (block, c, plane), x.dtype)
         canvas.fill(0)
-    cols = None if pointwise else scratch("cols", (block, k, length), x.dtype)
+        interior = canvas[..., :hp * wp].reshape(block, c, hp, wp)[
+            ..., padding:padding + h, padding:padding + w]
+    cols = None if pointwise else scratch("cols", (block, kb, length), x.dtype)
+    # Blocks write only the taps' runs; the rest of the columns is set
+    # here, on every call, since arena scratch is undefined.
+    run = (out_h - 1) * wp + out_w  # a stride-1 tap's run
+    if stride == 1 and not pointwise:
+        # feeds cropped outputs only; zeros keep stale bits (denormals
+        # are slow) out of the GEMM
+        cols[:, :k, run:] = 0
+    if fused:
+        cols[:, k] = 1
     mm = scratch("mm", (block, rows, length), dtype) if shared or crop else None
 
     # (first member, members, first image, images) of every block
@@ -154,29 +177,28 @@ def _conv2d_nograd(x: np.ndarray, weight: np.ndarray,
         f0, count = m * n + n0, me * nb
         src = images[f0:f0 + count]
         if padding:
-            canvas[:count, :, padding:-padding, padding:-padding] = src
+            interior[:count] = src
             src = canvas[:count]
         if pointwise:
             lowered = src
         else:
             lowered = cols[:count]
-            s0, s1, s2, s3 = src.strides
-            taps = lowered.reshape(count, c, kh, kw, length)
+            s0, s1 = src.strides[:2]
+            s2, s3 = wp * src.itemsize, src.itemsize
+            taps = lowered[:, :k].reshape(count, c, kh, kw, length)
             # Tap views over the contiguous block, built with the ndarray
             # constructor: ``as_strided`` costs ~15 µs of Python per call.
             if stride == 1:
-                run = (out_h - 1) * wp + out_w
                 np.copyto(taps[..., :run], np.ndarray(
                     (count, c, kh, kw, run), src.dtype, src, 0,
                     (s0, s1, s2, s3, s3)))
-                taps[..., run:] = 0  # feeds cropped outputs only
             else:
                 np.copyto(taps.reshape(count, c, kh, kw, out_h, out_w),
                           np.ndarray((count, c, kh, kw, out_h, out_w),
                                      src.dtype, src, 0,
                                      (s0, s1, s2, s3, s2 * stride,
                                       s3 * stride)))
-        lowered = lowered.reshape(me, nb, k, length)
+        lowered = lowered.reshape(me, nb, kb, length)
         dst = out[:, n0:n0 + nb] if shared else out[m:m + me, n0:n0 + nb]
         direct = not (shared or crop)
         res = np.matmul(wmat[m:m + me], lowered,
@@ -287,7 +309,8 @@ def batched_conv2d(
     contracts with its own kernel.  Output is ``(E, N, out_c, oh, ow)``.
 
     The forward always runs the cache-blocked kernel of
-    :func:`_conv2d_nograd`.  Its scratch comes from the active
+    :func:`_conv2d_nograd`, which sums the bias inside its GEMM (a 1x1
+    stride-1 pad-0 conv adds it after).  Its scratch comes from the active
     :class:`~repro.nn.arena.TensorArena` only when no backward will be
     wired (gradients disabled, or no operand requires them); a wired op
     takes fresh scratch and keeps nothing but its operands.
@@ -297,8 +320,9 @@ def batched_conv2d(
     kernel with padding ≤ k − 1 is the stride-1 conv of the output
     gradient, padded by k − 1 − p, with the flipped kernels and in/out
     channels swapped; it runs on :func:`_conv2d_nograd` with fresh scratch
-    (never the arena's), and a shared input folds the E members into the
-    channel axis so one GEMM also sums over members.  Strided kernels
+    (never the arena's), on rows ``ow + k − 1 − p`` wide that share their
+    pad columns, and a shared input folds the E members into the channel
+    axis so one GEMM also sums over members.  Strided kernels
     scatter tap by tap in a channels-last canvas: per tap one GEMM per
     member (one over E·out_c for a shared input) maps the output gradient
     to whole ``(N, C)`` rows, so each scatter-add runs over N·C contiguous

@@ -1,12 +1,14 @@
 """Differential tests for the no-grad conv kernel and the eval max-pool.
 
 :func:`repro.nn.functional.batched_conv2d` runs one cache-blocked kernel
-whenever no backward will be wired: it pads, lowers (whole padded rows
-for stride-1 kernels) and multiplies a block of images at a time, with
-scratch from the active arena or freshly allocated.  The per-net
-:func:`repro.nn.functional.conv2d` is its E = 1 case.  Checked here over
-random layer geometries, with the block budget shrunk so that batches
-fall on both sides of a block boundary:
+whenever no backward will be wired: it pads onto a canvas whose
+neighbouring rows share their pad columns, lowers (whole rows for
+stride-1 kernels) and multiplies a block of images at a time, with the
+bias summed inside the GEMM and scratch from the active arena or
+freshly allocated.  The per-net :func:`repro.nn.functional.conv2d` is
+its E = 1 case.  Checked here over random layer geometries, with the
+block budget shrunk so that batches fall on both sides of a block
+boundary:
 
 * a NaN-poisoned arena is bit-equal to no arena (the kernel is the
   same, only its scratch moves);
@@ -14,8 +16,10 @@ fall on both sides of a block boundary:
   per-member input — agrees with the direct-sum reference of
   :mod:`tests.helpers` (float64 tap loops, no im2col) to 1e-5, at the op
   level, and the stacked ``Server`` agrees with ``Server(backend="looped")``;
-* the grad path (full columns captured for backward) matches the per-net
-  ops in outputs and gradients, and never touches the arena.
+* the grad path (the same kernel on fresh scratch; its weight gradient
+  lowers the input again, so nothing is kept between forward and
+  backward) matches the per-net ops in outputs and gradients, and never
+  touches the arena.
 
 :func:`repro.nn.functional.max_pool2d` reduces the strided tap views
 with ``np.maximum`` in grad and no-grad mode alike; both must be
@@ -40,12 +44,20 @@ from repro.utils.rng import new_rng
 from tests.helpers import argmax_max_pool2d, direct_conv2d
 
 
-def images_per_block_budget(in_c, k, stride, padding, hw, images):
-    """``BLOCK_BYTES`` that makes one block hold exactly ``images`` images."""
-    out = (hw + 2 * padding - k) // stride + 1
+def images_per_block_budget(in_c, k, stride, padding, h, w, images, bias):
+    """``BLOCK_BYTES`` that makes one block hold exactly ``images`` images.
+
+    Mirrors the kernel's column block: stride-1 kernels lower whole rows
+    ``max(w + p, ow)`` wide (neighbouring rows share their pad columns),
+    strided ones ``ow``-wide output rows, and a bias adds a row of ones
+    wherever the kernel lowers at all (not for a 1x1 stride-1 pad-0 one).
+    """
+    out_h = (h + 2 * padding - k) // stride + 1
+    out_w = (w + 2 * padding - k) // stride + 1
     pointwise = k == 1 and stride == 1 and padding == 0
-    run_w = hw + 2 * padding if stride == 1 and not pointwise else out
-    return images * in_c * k * k * out * run_w * 4
+    row = max(w + padding, out_w) if stride == 1 else out_w
+    rows = in_c * k * k + (bias and not pointwise)
+    return images * rows * out_h * row * 4
 
 
 def looped_conv(x, w, b, stride, padding):
@@ -55,20 +67,33 @@ def looped_conv(x, w, b, stride, padding):
                      for m in range(w.shape[0])])
 
 
-geometry = st.fixed_dictionaries({
-    "shared": st.booleans(),
-    "k": st.sampled_from([1, 3]),
-    "stride": st.sampled_from([1, 2]),
-    "padding": st.sampled_from([0, 1]),
-    "members": st.integers(1, 3),
-    "in_c": st.integers(1, 4),
-    "out_c": st.integers(1, 4),
-    "hw": st.integers(3, 7),
-    "block": st.integers(1, 3),
-    # batch relative to the block: one short, exact, one over, two+ blocks
-    "offset": st.sampled_from([-1, 0, 1, None]),
-    "seed": st.integers(0, 10_000),
-})
+@st.composite
+def geometry(draw):
+    """A layer and a batch one short of, at or past a block boundary.
+
+    Padding runs to k, so stride-1 layers fall on both sides of the row
+    rule ``max(w + p, ow)`` (``p ≤ k − 1`` gives rows ``w + p`` wide, wider
+    padding rows ``ow`` wide), on non-square inputs whose rows go down to
+    one pixel.
+    """
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    padding = draw(st.integers(0, k))
+    least = max(1, k - 2 * padding)  # an output at least 1x1
+    return {
+        "shared": draw(st.booleans()),
+        "k": k,
+        "stride": draw(st.sampled_from([1, 2])),
+        "padding": padding,
+        "members": draw(st.integers(1, 3)),
+        "in_c": draw(st.integers(1, 4)),
+        "out_c": draw(st.integers(1, 4)),
+        "h": draw(st.integers(least, 7)),
+        "w": draw(st.integers(least, 7)),
+        "block": draw(st.integers(1, 3)),
+        # batch relative to the block: one short, exact, one over, two+ blocks
+        "offset": draw(st.sampled_from([-1, 0, 1, None])),
+        "seed": draw(st.integers(0, 10_000)),
+    }
 
 
 def make_case(g):
@@ -77,18 +102,18 @@ def make_case(g):
     rng = np.random.default_rng(g["seed"])
     e = g["members"]
     lead = (n,) if g["shared"] else (e, n)
-    x = rng.standard_normal(lead + (g["in_c"], g["hw"], g["hw"])).astype(np.float32)
+    x = rng.standard_normal(lead + (g["in_c"], g["h"], g["w"])).astype(np.float32)
     w = (0.3 * rng.standard_normal((e, g["out_c"], g["in_c"], g["k"], g["k"])
                                    )).astype(np.float32)
     b = rng.standard_normal((e, g["out_c"])).astype(np.float32)
-    budget = images_per_block_budget(g["in_c"], g["k"], g["stride"],
-                                     g["padding"], g["hw"], block)
+    budget = images_per_block_budget(g["in_c"], g["k"], g["stride"], g["padding"],
+                                     g["h"], g["w"], block, bias=True)
     return x, w, b, budget
 
 
 class TestNoGradConvKernel:
     @settings(max_examples=80, deadline=None)
-    @given(g=geometry)
+    @given(g=geometry())
     def test_arena_is_bit_equal_and_matches_looped(self, g):
         x, w, b, budget = make_case(g)
         s, p = g["stride"], g["padding"]
@@ -107,7 +132,7 @@ class TestNoGradConvKernel:
         np.testing.assert_allclose(plain, looped_conv(x, w, b, s, p), atol=1e-5)
 
     @settings(max_examples=40, deadline=None)
-    @given(g=geometry)
+    @given(g=geometry())
     def test_grad_path_matches_looped_and_skips_arena(self, g):
         x, w, b, budget = make_case(g)
         s, p = g["stride"], g["padding"]
@@ -143,7 +168,7 @@ class TestNoGradConvKernel:
         rng = np.random.default_rng(4)
         w = Tensor(rng.standard_normal((2, 4, 3, 3, 3)).astype(np.float32))
         arena = TensorArena()
-        budget = images_per_block_budget(3, 3, 1, 1, 6, 2)
+        budget = images_per_block_budget(3, 3, 1, 1, 6, 6, 2, bias=False)
         with mock.patch.object(F, "BLOCK_BYTES", budget), no_grad():
             for n in (5, 1, 2, 3, 5):
                 x = Tensor(rng.standard_normal((2, n, 3, 6, 6)).astype(np.float32))
@@ -196,7 +221,8 @@ def test_every_entry_point_matches_direct_reference(g):
     w = (0.3 * rng.standard_normal((e, g["out_c"], g["in_c"], k, k))).astype(np.float32)
     b = rng.standard_normal((e, g["out_c"])).astype(np.float32)
     arena = RecordingArena()
-    budget = images_per_block_budget(g["in_c"], k, s, p, g["hw"], block)
+    budget = images_per_block_budget(g["in_c"], k, s, p, g["hw"], g["hw"], block,
+                                     bias=True)
     with mock.patch.object(F, "BLOCK_BYTES", budget):
         with use_arena(arena), no_grad():
             outs = {"stacked shared": F.batched_conv2d(

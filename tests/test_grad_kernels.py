@@ -174,10 +174,11 @@ conv_case = st.fixed_dictionaries({
 def adjoint_block_budget(g, padding, out_hw):
     """``BLOCK_BYTES`` that makes one block of the stride-1 input-gradient
     conv hold ``g["block"]`` images: it lowers the output gradient, padded
-    by k − 1 − p, into ``C·k²`` rows of whole padded rows."""
+    by k − 1 − p, into ``C·k²`` rows (no bias) of whole rows that share
+    their pad columns, ``out_hw + k − 1 − p`` wide."""
     k = g["k"]
     channels = g["out_c"] * (g["members"] if g["shared"] else 1)
-    run_w = out_hw + 2 * (k - 1 - padding)
+    run_w = out_hw + k - 1 - padding
     return g["block"] * channels * k * k * g["hw"] * run_w * 4
 
 

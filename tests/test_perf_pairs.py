@@ -67,3 +67,44 @@ def test_one_pair_has_degenerate_quartiles():
 def test_malformed_input_is_rejected(parent, change, better):
     with pytest.raises(ValueError):
         perf_pairs.summarize(parent, change, better)
+
+
+def test_failure_share_of_attempted_operations():
+    assert perf_pairs.failure_share(3, 120) == pytest.approx(0.025)
+    assert perf_pairs.failure_share(0, 0) == 0.0
+
+
+def test_larger_failure_share_withholds_a_gain():
+    parent = [595, 621, 657, 613, 644, 600, 610, 630, 620, 640]
+    change = [671, 701, 701, 752, 697, 690, 605, 700, 710, 720]
+    assert perf_pairs.summarize(parent, change, "higher",
+                                failure_shares=(0.01, 0.01))["claim_holds"]
+    assert perf_pairs.summarize(parent, change, "higher",
+                                failure_shares=(0.0, 0.0))["claim_holds"]
+    s = perf_pairs.summarize(parent, change, "higher",
+                             failure_shares=(0.0, 0.001))
+    assert s["wins"] == 9 and not s["claim_holds"]
+
+
+@pytest.mark.parametrize("change,better,beyond", [
+    ([126.0] * 3, "lower", True),    # +26% ms against a 25% bound
+    ([124.0] * 3, "lower", False),   # +24%: inside the bound
+    ([74.0] * 3, "higher", True),    # -26% throughput
+    ([76.0] * 3, "higher", False),
+    ([50.0] * 3, "lower", False),    # better by any amount
+])
+def test_worse_median_beyond_its_bound(change, better, beyond):
+    s = perf_pairs.summarize([100.0] * 3, change, better, bound=0.25)
+    assert s["beyond_bound"] is beyond
+
+
+def test_bound_is_a_fraction_of_the_parent_median():
+    # the median is 100 although one parent run reads 1000
+    s = perf_pairs.summarize([90.0, 100.0, 1000.0], [111.0] * 3, "lower", bound=0.1)
+    assert s["parent"][1] == 100.0 and s["beyond_bound"]
+    assert not perf_pairs.summarize([90.0, 100.0, 1000.0], [109.0] * 3, "lower",
+                                    bound=0.1)["beyond_bound"]
+
+
+def test_no_bound_is_never_beyond_it():
+    assert not perf_pairs.summarize([1.0], [100.0], "lower")["beyond_bound"]
