@@ -3,16 +3,20 @@
 :func:`time_arms` times each wall-clock comparison, so every gate reads
 the same statistic: the median of per-round ratios, with quartiles.
 :func:`write_record` writes each run's record to :data:`RECORD_DIR`
-(``build/bench-records/``, gitignored).  The bench modules put this
+(``build/bench-records/``, gitignored), stamped with the threads its
+kernels ran on (:func:`parallelism`).  The bench modules put this
 directory on ``sys.path`` before importing (benchmarks/ is deliberately
 not a package so its files stay runnable as plain scripts).
 """
 
 import json
+import os
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+
+from repro.nn.functional import kernel_workers
 
 #: Where every benchmark run writes its record.
 RECORD_DIR = Path(__file__).resolve().parent.parent / "build" / "bench-records"
@@ -69,13 +73,25 @@ def ratio_text(timing: dict, label: str) -> str:
             f"{timing[label + '_q3']:.2f}]")
 
 
+def parallelism() -> dict:
+    """The threads a run's kernels use: the no-grad conv kernel's worker
+    count (:func:`repro.nn.functional.kernel_workers`) and the BLAS thread
+    setting, ``OPENBLAS_NUM_THREADS`` (``None``: unset, so OpenBLAS runs
+    one thread per core).  A gate ratio holds for this parallelism only."""
+    return {"kernel_workers": kernel_workers(),
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 def write_record(record: dict) -> Path:
-    """Write ``record`` to ``RECORD_DIR/<record["benchmark"]>.json``.
+    """Write ``record`` to ``RECORD_DIR/<record["benchmark"]>.json``,
+    stamped with this process's :func:`parallelism` under
+    ``"parallelism"``.
 
     The file holds this run's record alone; the next run of the same
     benchmark overwrites it.  Missing directories are created.
     """
     RECORD_DIR.mkdir(parents=True, exist_ok=True)
     path = RECORD_DIR / f"{record['benchmark']}.json"
-    path.write_text(json.dumps(record, indent=2) + "\n")
+    stamped = {**record, "parallelism": parallelism()}
+    path.write_text(json.dumps(stamped, indent=2) + "\n")
     return path

@@ -12,8 +12,9 @@ buffers the service owns.
 
 The convolution scratch is **block-sized**: the no-grad kernel lowers
 and multiplies a few images at a time, so each slot holds one block
-(whose columns fit in :data:`repro.nn.functional.BLOCK_BYTES`), not the
-whole batch, and its shape depends on the layer alone.  The kernel is
+(whose columns fit in :data:`repro.nn.functional.BLOCK_BYTES`) per
+thread the call runs on, not the whole batch, and its shape depends on
+the layer and the thread count alone.  The kernel is
 the same with or without an arena — the arena only decides where its
 scratch comes from — so outputs are bit-equal either way.
 
@@ -57,7 +58,10 @@ Usage::
 
 The context manager is re-entrant-safe (the previously active arena is
 restored on exit) but not thread-safe — the serving tier is a
-single-threaded tick loop by design.
+single-threaded tick loop by design.  The no-grad conv kernel's helper
+threads take no slots: the calling thread takes one slot per tag with a
+block of rows for each thread before any helper starts, and joins the
+helpers before the call returns.
 """
 
 from __future__ import annotations

@@ -20,6 +20,10 @@ server pass share one lowering.
 
 from __future__ import annotations
 
+import itertools
+import os
+from concurrent import futures
+
 import numpy as np
 
 from repro.nn import profiling
@@ -85,6 +89,41 @@ def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
 #: reads columns the lowering has just written to cache.
 BLOCK_BYTES = 1 << 19
 
+#: Bytes of lowered columns, counted once per member, a no-grad
+#: convolution must feed its GEMMs before its blocks are shared out
+#: among threads.  A shared input's columns count E times: they feed
+#: every member's rows.  Below this a helper's wake-up and its own
+#: scratch cost about what it saves; the 8x8 and 4x4 body convs of an
+#: 8-image batch (up to 3.2 MiB) run no faster on two threads.
+PARALLEL_BYTES = 8 * BLOCK_BYTES
+
+#: ``(pid, helpers, pool)`` of the kernel's helper threads, or ``None``.
+_POOL: tuple[int, int, futures.ThreadPoolExecutor] | None = None
+
+
+def kernel_workers() -> int:
+    """Threads the no-grad convolution kernel spreads its blocks over:
+    one per core this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _helper_pool(helpers: int) -> futures.ThreadPoolExecutor:
+    """A pool of at least ``helpers`` threads, made on first use and made
+    again in a forked child, which inherits none of its parent's threads.
+
+    Unlocked: two threads racing here each get a working pool, and the
+    one dropped exits its threads once its last call has joined them.
+    """
+    global _POOL
+    pid = os.getpid()
+    if _POOL is None or _POOL[0] != pid or _POOL[1] < helpers:
+        _POOL = (pid, helpers, futures.ThreadPoolExecutor(
+            helpers, thread_name_prefix="conv-helper"))
+    return _POOL[2]
+
 
 def _conv2d_nograd(x: np.ndarray, weight: np.ndarray,
                    bias: np.ndarray | None, stride: int, padding: int,
@@ -110,10 +149,24 @@ def _conv2d_nograd(x: np.ndarray, weight: np.ndarray,
     straddle a row break) are cropped.  A 1x1 stride-1 pad-0 kernel lowers
     nothing: its block is the input, and its bias is a separate add.
 
+    A call with at least two blocks and :data:`PARALLEL_BYTES` of columns
+    per member runs its blocks on the calling thread and one helper thread per
+    further core (:func:`kernel_workers`, at most one per block).  Every
+    thread pulls the next block from one shared ticket, so a slow core
+    holds up no fixed share of the work, and the call joins its helpers
+    before it returns or raises (a helper that has not started by then
+    is cancelled, not awaited).  Blocks write disjoint slices of the
+    output with the same arithmetic, so outputs do not depend on which
+    thread ran a block.  Helpers run NumPy calls only: they take no
+    arena slot, record no FLOPs and run no Tensor op.
+
     Scratch (pad canvas, columns, pre-crop GEMM result) is block-shaped,
-    so its shape depends on the layer alone, not on the batch; it comes
-    from ``arena`` when one is active and is freshly allocated otherwise.
-    Either way the arithmetic is the same, so outputs are bit-equal.
+    one block per thread: each tag is one slot of ``threads × block``
+    rows, so a call takes the same slots whether or not it dispatches,
+    and the thread count changes no arena slot's place in a pass.  It
+    comes from ``arena`` when one is active and is freshly allocated
+    otherwise.  Either way the arithmetic is the same, so outputs are
+    bit-equal.
     """
     e, out_c, in_c, kh, kw = weight.shape
     shared = x.ndim == 4
@@ -140,30 +193,8 @@ def _conv2d_nograd(x: np.ndarray, weight: np.ndarray,
         wmat = np.concatenate((wmat, bias), axis=-1, dtype=wmat.dtype)
         bias = None
     out = np.empty((e, n, out_c, out_h, out_w), dtype=dtype)
-    block = max(1, BLOCK_BYTES // (kb * length * x.itemsize))
-
-    def scratch(tag, shape, dt):
-        if arena is None:
-            return np.empty(shape, dtype=dt)
-        return arena.take(tag, shape, dt)
-
-    if padding:
-        # Borders are zeroed once; blocks only overwrite the interior.
-        canvas = scratch("pad", (block, c, plane), x.dtype)
-        canvas.fill(0)
-        interior = canvas[..., :hp * wp].reshape(block, c, hp, wp)[
-            ..., padding:padding + h, padding:padding + w]
-    cols = None if pointwise else scratch("cols", (block, kb, length), x.dtype)
-    # Blocks write only the taps' runs; the rest of the columns is set
-    # here, on every call, since arena scratch is undefined.
-    run = (out_h - 1) * wp + out_w  # a stride-1 tap's run
-    if stride == 1 and not pointwise:
-        # feeds cropped outputs only; zeros keep stale bits (denormals
-        # are slow) out of the GEMM
-        cols[:, :k, run:] = 0
-    if fused:
-        cols[:, k] = 1
-    mm = scratch("mm", (block, rows, length), dtype) if shared or crop else None
+    column_bytes = kb * length * x.itemsize  # one image's
+    block = max(1, BLOCK_BYTES // column_bytes)
 
     # (first member, members, first image, images) of every block
     if shared or block < n:
@@ -173,46 +204,99 @@ def _conv2d_nograd(x: np.ndarray, weight: np.ndarray,
         per = block // n
         spans = [(m, min(per, members - m), 0, n)
                  for m in range(0, members, per)]
-    for m, me, n0, nb in spans:
-        f0, count = m * n + n0, me * nb
-        src = images[f0:f0 + count]
-        if padding:
-            interior[:count] = src
-            src = canvas[:count]
-        if pointwise:
-            lowered = src
-        else:
-            lowered = cols[:count]
-            s0, s1 = src.strides[:2]
-            s2, s3 = wp * src.itemsize, src.itemsize
-            taps = lowered[:, :k].reshape(count, c, kh, kw, length)
-            # Tap views over the contiguous block, built with the ndarray
-            # constructor: ``as_strided`` costs ~15 µs of Python per call.
-            if stride == 1:
-                np.copyto(taps[..., :run], np.ndarray(
-                    (count, c, kh, kw, run), src.dtype, src, 0,
-                    (s0, s1, s2, s3, s3)))
+    workers = 1
+    if len(spans) > 1 and e * n * column_bytes >= PARALLEL_BYTES:
+        workers = min(kernel_workers(), len(spans))
+    slots = workers * block  # scratch rows: one block per thread
+
+    def scratch(tag, shape, dt):
+        if arena is None:
+            return np.empty(shape, dtype=dt)
+        return arena.take(tag, shape, dt)
+
+    if padding:
+        # Borders are zeroed once; blocks only overwrite the interior.
+        canvas = scratch("pad", (slots, c, plane), x.dtype)
+        canvas.fill(0)
+        interior = canvas[..., :hp * wp].reshape(slots, c, hp, wp)[
+            ..., padding:padding + h, padding:padding + w]
+    cols = None if pointwise else scratch("cols", (slots, kb, length), x.dtype)
+    # Blocks write only the taps' runs; the rest of the columns is set
+    # here, on every call, since arena scratch is undefined.
+    run = (out_h - 1) * wp + out_w  # a stride-1 tap's run
+    if stride == 1 and not pointwise:
+        # feeds cropped outputs only; zeros keep stale bits (denormals
+        # are slow) out of the GEMM
+        cols[:, :k, run:] = 0
+    if fused:
+        cols[:, k] = 1
+    mm = scratch("mm", (slots, rows, length), dtype) if shared or crop else None
+
+    ticket = itertools.count()  # the next block, shared by every thread
+
+    def work(lo):
+        """Run blocks off the ticket on scratch rows ``lo:lo + block``
+        (NumPy calls only)."""
+        for i in ticket:
+            if i >= len(spans):
+                return
+            m, me, n0, nb = spans[i]
+            f0, count = m * n + n0, me * nb
+            src = images[f0:f0 + count]
+            if padding:
+                interior[lo:lo + count] = src
+                src = canvas[lo:lo + count]
+            if pointwise:
+                lowered = src
             else:
-                np.copyto(taps.reshape(count, c, kh, kw, out_h, out_w),
-                          np.ndarray((count, c, kh, kw, out_h, out_w),
-                                     src.dtype, src, 0,
-                                     (s0, s1, s2, s3, s2 * stride,
-                                      s3 * stride)))
-        lowered = lowered.reshape(me, nb, kb, length)
-        dst = out[:, n0:n0 + nb] if shared else out[m:m + me, n0:n0 + nb]
-        direct = not (shared or crop)
-        res = np.matmul(wmat[m:m + me], lowered,
-                        out=(dst if direct else mm[:count]).reshape(
-                            me, nb, rows, length))
-        if bias is not None:
-            res += bias[m:m + me]
-        if direct:
-            continue
-        if shared:
-            res = res.reshape(nb, e, out_c, out_h, run_w).transpose(1, 0, 2, 3, 4)
-        else:
-            res = res.reshape(me, nb, out_c, out_h, run_w)
-        np.copyto(dst, res[..., :out_w])
+                lowered = cols[lo:lo + count]
+                s0, s1 = src.strides[:2]
+                s2, s3 = wp * src.itemsize, src.itemsize
+                taps = lowered[:, :k].reshape(count, c, kh, kw, length)
+                # Tap views over the contiguous block, built with the ndarray
+                # constructor: ``as_strided`` costs ~15 µs of Python per call.
+                if stride == 1:
+                    np.copyto(taps[..., :run], np.ndarray(
+                        (count, c, kh, kw, run), src.dtype, src, 0,
+                        (s0, s1, s2, s3, s3)))
+                else:
+                    np.copyto(taps.reshape(count, c, kh, kw, out_h, out_w),
+                              np.ndarray((count, c, kh, kw, out_h, out_w),
+                                         src.dtype, src, 0,
+                                         (s0, s1, s2, s3, s2 * stride,
+                                          s3 * stride)))
+            lowered = lowered.reshape(me, nb, kb, length)
+            dst = out[:, n0:n0 + nb] if shared else out[m:m + me, n0:n0 + nb]
+            direct = not (shared or crop)
+            res = np.matmul(wmat[m:m + me], lowered,
+                            out=(dst if direct else mm[lo:lo + count]).reshape(
+                                me, nb, rows, length))
+            if bias is not None:
+                res += bias[m:m + me]
+            if direct:
+                continue
+            if shared:
+                res = res.reshape(nb, e, out_c, out_h, run_w).transpose(1, 0, 2, 3, 4)
+            else:
+                res = res.reshape(me, nb, out_c, out_h, run_w)
+            np.copyto(dst, res[..., :out_w])
+
+    if workers == 1:
+        work(0)
+        return out
+
+    pool = _helper_pool(workers - 1)
+    helpers = [pool.submit(work, t * block) for t in range(1, workers)]
+    try:
+        work(0)
+    finally:
+        # No helper may touch ``out`` or scratch after the call.  One
+        # that has not started (its core is busy) holds no block, so it
+        # is cancelled rather than waited for.
+        helpers = [helper for helper in helpers if not helper.cancel()]
+        futures.wait(helpers)
+    for helper in helpers:
+        helper.result()  # re-raises a helper's exception
     return out
 
 

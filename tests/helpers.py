@@ -8,7 +8,8 @@ them checks the stacking but not the lowering.  :func:`direct_conv2d` and
 :func:`direct_conv_transpose2d` are the independent reference: float64
 loops over the kernel taps, no im2col, no col2im, no shared helper;
 :func:`direct_conv2d_input_grad` and :func:`direct_conv2d_weight_grad`
-are the same loop run as the two adjoints.
+are the same loop run as the two adjoints, and :func:`direct_resnet_body`
+runs a whole served ResNet body on :func:`direct_conv2d`.
 
 The grad-mode kernels have references written the other way round from
 the library: :func:`argmax_max_pool2d` picks each window's winner with
@@ -29,6 +30,7 @@ from unittest import mock
 
 import numpy as np
 
+from repro import nn
 from repro.nn.tensor import Tensor, _sum_to_shape
 
 
@@ -90,6 +92,32 @@ def direct_conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> np
     if bias is not None:
         out += np.asarray(bias, dtype=np.float64)[None, :, None, None]
     return out
+
+
+def direct_resnet_body(body, x) -> np.ndarray:
+    """Eval forward of a :class:`~repro.models.resnet.ResNetBody` on NCHW
+    ``x`` in float64: :func:`direct_conv2d` for every conv, batch norm from
+    its running statistics (not folded into the convs), residual blocks
+    and global average pooling written out.  Returns ``(N, C)``."""
+    def conv(layer, h):
+        bias = None if layer.bias is None else layer.bias.data
+        return direct_conv2d(h, layer.weight.data, bias, layer.stride, layer.padding)
+
+    def bn(layer, h):
+        scale = layer.gamma.data.astype(np.float64) / np.sqrt(
+            layer.running_var.astype(np.float64) + layer.eps)
+        shift = layer.beta.data - layer.running_mean * scale
+        return h * scale[:, None, None] + shift[:, None, None]
+
+    h = np.asarray(x, dtype=np.float64)
+    for stage in body.stages:
+        for block in stage:
+            out = np.maximum(bn(block.bn1, conv(block.conv1, h)), 0)
+            out = bn(block.bn2, conv(block.conv2, out))
+            if not isinstance(block.shortcut, nn.Identity):  # conv + batch norm
+                h = bn(block.shortcut[1], conv(block.shortcut[0], h))
+            h = np.maximum(out + h, 0)
+    return h.mean(axis=(2, 3))
 
 
 def direct_conv_transpose2d(x, weight, bias=None, stride: int = 1, padding: int = 0,

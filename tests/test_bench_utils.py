@@ -74,7 +74,20 @@ def test_write_record_keeps_one_object_per_benchmark(tmp_path, monkeypatch):
                    {"benchmark": "demo", "run": 1}):
         utils.write_record(record)
     assert sorted(p.name for p in record_dir.iterdir()) == ["demo.json", "other.json"]
-    assert json.loads((record_dir / "demo.json").read_text()) == {"benchmark": "demo", "run": 1}
+    assert json.loads((record_dir / "demo.json").read_text()) == {
+        "benchmark": "demo", "run": 1, "parallelism": utils.parallelism()}
+
+
+def test_records_name_the_threads_their_kernels_ran_on(tmp_path, monkeypatch):
+    monkeypatch.setattr(utils, "RECORD_DIR", tmp_path)
+    monkeypatch.setattr(utils, "kernel_workers", lambda: 3)
+    for blas in ("1", None):
+        if blas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        record = json.loads(utils.write_record({"benchmark": "demo"}).read_text())
+        assert record["parallelism"] == {"kernel_workers": 3, "blas_threads": blas}
 
 
 @pytest.mark.parametrize("name", ["bench_ensemble", "bench_attack", "bench_serving"])

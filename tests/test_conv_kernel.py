@@ -27,6 +27,7 @@ bit-identical to the window-argmax reference of :mod:`tests.helpers`,
 NaNs and signed zeros included.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -58,6 +59,15 @@ def images_per_block_budget(in_c, k, stride, padding, h, w, images, bias):
     row = max(w + padding, out_w) if stride == 1 else out_w
     rows = in_c * k * k + (bias and not pointwise)
     return images * rows * out_h * row * 4
+
+
+@contextlib.contextmanager
+def threads(workers):
+    """Run every multi-block no-grad conv call on ``workers`` threads:
+    patch the worker count and drop the dispatch bound."""
+    with mock.patch.object(F, "kernel_workers", return_value=workers), \
+            mock.patch.object(F, "PARALLEL_BYTES", 0):
+        yield
 
 
 def looped_conv(x, w, b, stride, padding):
@@ -164,18 +174,23 @@ class TestNoGradConvKernel:
         np.testing.assert_allclose(xt.grad, dx, atol=1e-4)
 
     def test_scratch_is_block_shaped(self):
-        """Slot shapes depend on the layer, not on the batch size."""
+        """Slot shapes depend on the layer and the thread count, not on
+        the batch size: each tag is one slot of one block per thread."""
         rng = np.random.default_rng(4)
         w = Tensor(rng.standard_normal((2, 4, 3, 3, 3)).astype(np.float32))
-        arena = TensorArena()
         budget = images_per_block_budget(3, 3, 1, 1, 6, 6, 2, bias=False)
-        with mock.patch.object(F, "BLOCK_BYTES", budget), no_grad():
-            for n in (5, 1, 2, 3, 5):
-                x = Tensor(rng.standard_normal((2, n, 3, 6, 6)).astype(np.float32))
-                with use_arena(arena):
-                    F.batched_conv2d(x, w, None, 1, 1)
-        assert arena.misses == 3  # pad, cols, mm: allocated once
-        assert arena.hits == 4 * 3
+        for workers in (1, 2):
+            arena = RecordingArena()
+            with mock.patch.object(F, "BLOCK_BYTES", budget), no_grad(), \
+                    threads(workers):
+                for n in (5, 1, 2, 3, 5):
+                    x = Tensor(rng.standard_normal((2, n, 3, 6, 6)).astype(np.float32))
+                    with use_arena(arena):
+                        F.batched_conv2d(x, w, None, 1, 1)
+            assert arena.misses == 3  # pad, cols, mm: allocated once
+            assert arena.hits == 4 * 3
+            # the first call (six blocks) takes one block of rows per thread
+            assert [shape[0] for _, shape in arena.requests[:3]] == [2 * workers] * 3
 
 
 class RecordingArena(TensorArena):
@@ -210,7 +225,8 @@ multi_block = st.fixed_dictionaries({
 def test_every_entry_point_matches_direct_reference(g):
     """``F.conv2d`` with and without grad, and ``batched_conv2d`` on a
     shared and a per-member input, all stay within 1e-5 of the direct-sum
-    reference while the no-grad calls run over more than one block."""
+    reference while the no-grad calls run over more than one block, on
+    one thread and on two."""
     k, s, p, block = g["k"], g["stride"], g["padding"], g["block"]
     assume(not k == s == 1 or p)  # a pointwise kernel lowers nothing
     full, extra = g["past"]
@@ -220,32 +236,35 @@ def test_every_entry_point_matches_direct_reference(g):
     per_member = rng.standard_normal((e,) + shared.shape).astype(np.float32)
     w = (0.3 * rng.standard_normal((e, g["out_c"], g["in_c"], k, k))).astype(np.float32)
     b = rng.standard_normal((e, g["out_c"])).astype(np.float32)
-    arena = RecordingArena()
     budget = images_per_block_budget(g["in_c"], k, s, p, g["hw"], g["hw"], block,
                                      bias=True)
-    with mock.patch.object(F, "BLOCK_BYTES", budget):
-        with use_arena(arena), no_grad():
-            outs = {"stacked shared": F.batched_conv2d(
-                        Tensor(shared), Tensor(w), Tensor(b), s, p).data,
-                    "stacked per-member": F.batched_conv2d(
-                        Tensor(per_member), Tensor(w), Tensor(b), s, p).data,
-                    "per-net no-grad": np.stack([F.conv2d(
-                        Tensor(per_member[m]), Tensor(w[m]), Tensor(b[m]), s, p).data
-                        for m in range(e)])}
-        graded = [F.conv2d(Tensor(per_member[m], requires_grad=True),
-                           Tensor(w[m], requires_grad=True), Tensor(b[m]), s, p)
-                  for m in range(e)]
-    assert all(out.requires_grad for out in graded)
-    outs["per-net grad"] = np.stack([out.data for out in graded])
-    # one block-shaped cols slot per no-grad call, each smaller than the
-    # batch: more than one block ran (a stale patch target fails here)
-    blocks = [shape[0] for tag, shape in arena.requests if tag == "cols"]
-    assert blocks == [block] * (2 + e) and block < n
     expected = {"stacked shared": looped_conv(shared, w, b, s, p)}
     for name in ("stacked per-member", "per-net no-grad", "per-net grad"):
         expected[name] = looped_conv(per_member, w, b, s, p)
-    for name, out in outs.items():
-        np.testing.assert_allclose(out, expected[name], atol=1e-5, err_msg=name)
+    for workers in (1, 2):
+        arena = RecordingArena()
+        with mock.patch.object(F, "BLOCK_BYTES", budget), threads(workers):
+            with use_arena(arena), no_grad():
+                outs = {"stacked shared": F.batched_conv2d(
+                            Tensor(shared), Tensor(w), Tensor(b), s, p).data,
+                        "stacked per-member": F.batched_conv2d(
+                            Tensor(per_member), Tensor(w), Tensor(b), s, p).data,
+                        "per-net no-grad": np.stack([F.conv2d(
+                            Tensor(per_member[m]), Tensor(w[m]), Tensor(b[m]), s, p).data
+                            for m in range(e)])}
+            graded = [F.conv2d(Tensor(per_member[m], requires_grad=True),
+                               Tensor(w[m], requires_grad=True), Tensor(b[m]), s, p)
+                      for m in range(e)]
+        assert all(out.requires_grad for out in graded)
+        outs["per-net grad"] = np.stack([out.data for out in graded])
+        # one cols slot per no-grad call, a block per thread, each block
+        # smaller than the batch: more than one block ran (a stale patch
+        # target fails here)
+        blocks = [shape[0] for tag, shape in arena.requests if tag == "cols"]
+        assert blocks == [workers * block] * (2 + e) and block < n
+        for name, out in outs.items():
+            np.testing.assert_allclose(out, expected[name], atol=1e-5,
+                                       err_msg=f"{name}, {workers} thread(s)")
 
 
 def make_bodies(num_nets=3):
